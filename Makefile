@@ -3,21 +3,30 @@ GO ?= go
 
 # Benchmark baseline: `make bench` runs every benchmark suite and
 # archives the results as JSON (override BENCHTIME/BENCHOUT to taste).
-# BENCHTIME is pinned to a multi-iteration count — single-iteration
-# records are anecdotes, and benchjson warns on them — and -count=1 is
-# explicit so a user GOFLAGS can't multiply the archived run. BENCHOUT
-# defaults to the next free BENCH_NNNN.json so a re-run never silently
-# overwrites an archived baseline.
+# BENCHTIME pins the root package's experiment benchmarks, each a whole
+# figure, to a multi-iteration count — single-iteration records are
+# anecdotes, and benchjson warns on them. The ./internal/...
+# micro-benchmarks run for 300ms each instead: an operation of a few
+# nanoseconds run 3 times measures the timer, not the operation.
+# -count=1 is explicit so a user GOFLAGS can't multiply the archived run.
+# BENCHCPU pins GOMAXPROCS for the experiment benchmarks: it is the
+# harness's default worker count, so it sets how many machine pairs the
+# parallel experiments (R1) build, and it is the -N suffix benchjson
+# matches benchmark names on. BENCHOUT defaults to the next free
+# BENCH_NNNN.json so a re-run never silently overwrites an archived
+# baseline.
 BENCHTIME ?= 3x
+BENCHCPU  := 2
 BENCHOUT  ?= $(shell n=$$(ls BENCH_[0-9][0-9][0-9][0-9].json 2>/dev/null \
 	| sed -E 's/BENCH_0*([0-9]+)\.json/\1/' | sort -n | tail -1); \
 	printf 'BENCH_%04d.json' $$(( $${n:--1} + 1 )))
 
 # Regression gate: `make benchcmp` reruns the core experiment benchmarks
-# (F1-F4) and compares them against the newest committed baseline,
-# failing on memory regressions beyond the tolerance. Only B/op and
-# allocs/op are gated — they are deterministic across machines, unlike
-# wall-clock ns/op.
+# (F1-F4) and the experiments that run outside the memo (R1, TIER, WIT)
+# and compares them against the newest committed baseline, failing on
+# memory regressions beyond the tolerance. Only B/op and allocs/op are
+# gated — they are deterministic across machines, unlike wall-clock
+# ns/op.
 BENCHBASE ?= $(shell ls BENCH_[0-9][0-9][0-9][0-9].json 2>/dev/null | sort | tail -1)
 BENCHCMP_TOLERANCE ?= 10
 
@@ -69,12 +78,14 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -count=1 -run='^$$' ./... \
+	{ $(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -count=1 -run='^$$' . && \
+	  $(GO) test -bench=. -benchmem -benchtime=300ms -count=1 -run='^$$' ./internal/...; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 benchcmp:
 	@test -n "$(BENCHBASE)" || { echo "benchcmp: no committed BENCH_NNNN.json baseline"; exit 1; }
-	$(GO) test -bench='^BenchmarkF[1-4]' -benchmem -benchtime=$(BENCHTIME) -count=1 -run='^$$' . \
+	$(GO) test -bench='^Benchmark(F[1-4]|R1SeedRobustness|TIERTiered|WITWitness)' -benchmem \
+		-benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -count=1 -run='^$$' . \
 		| $(GO) run ./cmd/benchjson -o /tmp/benchcmp.json
 	$(GO) run ./cmd/benchjson -compare $(BENCHBASE) /tmp/benchcmp.json \
 		-tolerance-pct $(BENCHCMP_TOLERANCE) -metrics B/op,allocs/op

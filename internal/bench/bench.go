@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arcsim/internal/machine"
@@ -318,7 +319,7 @@ func (r *Runner) Timing() Timing {
 
 // record adds one executed simulation to the timing accounting (also
 // used by experiments that run simulations outside the memo, e.g. R1's
-// foreign-seed runs).
+// foreign-seed runs and the timed runs of STAT, WIT and TIER).
 func (r *Runner) record(label string, elapsed time.Duration) {
 	r.statMu.Lock()
 	r.timing.Runs++
@@ -358,31 +359,33 @@ func (r *Runner) SpecResult(ctx context.Context, s RunSpec) (*sim.Result, error)
 // deterministic render pass re-encounters it with full experiment
 // context, exactly as the serial harness would.
 func (r *Runner) Prefetch(specs []RunSpec) {
-	workers := r.cfg.Jobs
-	if workers > len(specs) {
-		workers = len(specs)
-	}
+	r.parallel(len(specs), func(i int) {
+		r.result(context.Background(), specs[i]) //nolint:errcheck
+	})
+}
+
+// parallel calls fn(0), ..., fn(n-1) on up to cfg.Jobs goroutines,
+// handing out indices in order, and returns once every call has. With
+// one job it is a plain loop on the caller's goroutine.
+func (r *Runner) parallel(n int, fn func(i int)) {
+	workers := min(r.cfg.Jobs, n)
 	if workers <= 1 {
-		for _, s := range specs {
-			r.result(context.Background(), s) //nolint:errcheck
+		for i := range n {
+			fn(i)
 		}
 		return
 	}
-	work := make(chan RunSpec)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range work {
-				r.result(context.Background(), s) //nolint:errcheck
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
-	for _, s := range specs {
-		work <- s
-	}
-	close(work)
 	wg.Wait()
 }
 
@@ -784,8 +787,10 @@ type Experiment struct {
 	// so the harness can prefetch the union of all selected
 	// experiments' runs through the worker pool before the in-order
 	// render pass. A nil Plan means the experiment requests no runs
-	// through the Runner (T1/T2 only characterize configurations; R1
-	// builds seeded machines directly and parallelizes internally).
+	// through the Runner: T1, T2 and SCHED simulate nothing, and CONF,
+	// STAT and WIT time or generate their own runs. R1 and TIER plan
+	// only the F1 runs they reuse; R1's other seeds and TIER's timed
+	// runs execute outside the memo, on pooled machines.
 	Plan func(cfg Config) []RunSpec
 	Run  func(*Runner) (*Output, error)
 }
@@ -807,11 +812,11 @@ func All() []Experiment {
 		{ID: "A1", Title: "ARC ablation: line classification", Plan: planA1, Run: runA1},
 		{ID: "A2", Title: "Coherence substrate: MESI vs MOESI", Plan: planA2, Run: runA2},
 		{ID: "A3", Title: "Metadata granularity: byte vs word", Plan: planA3, Run: runA3},
-		{ID: "R1", Title: "Seed robustness", Run: runR1},
+		{ID: "R1", Title: "Seed robustness", Plan: planR1, Run: runR1},
 		{ID: "CONF", Title: "Differential conformance of the conflict-detection designs", Run: runConformance},
 		{ID: "STAT", Title: "Static region-conflict analysis: precision and speed", Run: runStatic},
 		{ID: "WIT", Title: "Witness-directed precision: confirm or refute predicted conflicts", Run: runWitness},
-		{ID: "TIER", Title: "Analyze-first tiered execution: short-circuit and phase-parallel speedups", Run: runTier},
+		{ID: "TIER", Title: "Analyze-first tiered execution: short-circuit and phase-parallel speedups", Plan: planTier, Run: runTier},
 		{ID: "SCHED", Title: "Cost-model scheduling vs round-robin on the daemon fleet", Run: runSched},
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"arcsim/internal/conformance"
@@ -60,30 +59,22 @@ func runConformance(r *Runner) (*Output, error) {
 		arc  int
 	}
 	slots := make([][]slot, len(fams))
-	sem := make(chan struct{}, r.cfg.Jobs)
-	var wg sync.WaitGroup
-	for fi, fam := range fams {
+	for fi := range fams {
 		slots[fi] = make([]slot, perFam)
-		for i := 0; i < perFam; i++ {
-			wg.Add(1)
-			go func(fi, i int, cfg conformance.Config) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				seed := r.cfg.Seed*1000 + int64(fi)*100 + int64(i)
-				prog := conformance.Generate(cfg, seed)
-				start := time.Now()
-				results, err := conformance.Check(prog, conformance.Options{})
-				r.record(fmt.Sprintf("conf/%s/s%d", prog.Cfg.Kind(), seed), time.Since(start))
-				s := slot{prog: prog, err: err}
-				if res := results[protocols.ARC]; res != nil {
-					s.arc = res.Conflicts
-				}
-				slots[fi][i] = s
-			}(fi, i, fam.cfg)
-		}
 	}
-	wg.Wait()
+	r.parallel(len(fams)*perFam, func(k int) {
+		fi, i := k/perFam, k%perFam
+		seed := r.cfg.Seed*1000 + int64(fi)*100 + int64(i)
+		prog := conformance.Generate(fams[fi].cfg, seed)
+		start := time.Now()
+		results, err := conformance.Check(prog, conformance.Options{})
+		r.record(fmt.Sprintf("conf/%s/s%d", prog.Cfg.Kind(), seed), time.Since(start))
+		s := slot{prog: prog, err: err}
+		if res := results[protocols.ARC]; res != nil {
+			s.arc = res.Conflicts
+		}
+		slots[fi][i] = s
+	})
 
 	var agg []confResult
 	var totalPrograms, drfConflicts int

@@ -3,10 +3,9 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 	"time"
 
-	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
 	"arcsim/internal/sim"
 	"arcsim/internal/static"
@@ -46,65 +45,65 @@ type statRow struct {
 // targets, which exercise generated programs rather than the catalog.
 //
 // Like CONF, the experiment is self-contained (no Plan): the simulations
-// are timed against the analysis on this machine, so they must run here
-// rather than come from the store or a remote daemon. The simulations
-// parallelize under cfg.Jobs; the analyses are then timed sequentially
-// (best of three) so the millisecond-scale measurements are not inflated
-// by concurrently running simulations.
+// are timed against the analysis on this machine, so they must run here,
+// on pooled machines, rather than come from the store or a remote
+// daemon. The simulations parallelize under cfg.Jobs; the analyses are
+// then timed sequentially (best of three) so the millisecond-scale
+// measurements are not inflated by concurrently running simulations.
 func runStatic(r *Runner) (*Output, error) {
 	specs := workload.Catalog()
-	params := workload.Params{Threads: r.cfg.Cores, Seed: r.cfg.Seed, Scale: r.cfg.Scale}
+	cores := r.cfg.Cores
 
 	rows := make([]statRow, len(specs))
 	traces := make([]*trace.Trace, len(specs))
-	sem := make(chan struct{}, r.cfg.Jobs)
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec workload.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			row := statRow{name: spec.Name, racy: spec.Racy}
-			defer func() { rows[i] = row }()
+	r.parallel(len(specs), func(i int) {
+		spec := specs[i]
+		row := statRow{name: spec.Name, racy: spec.Racy}
+		defer func() { rows[i] = row }()
 
-			tr := spec.Build(params)
-			traces[i] = tr
-			row.events = tr.Events()
+		tr, err := r.trace(spec.Name, cores)
+		if err != nil {
+			row.err = err
+			return
+		}
+		traces[i] = tr
+		row.events = tr.Events()
 
-			an, err := static.Analyze(tr)
-			if err != nil {
-				row.err = fmt.Errorf("analyze %s: %w", spec.Name, err)
-				return
-			}
-			row.proven = an.ProvenDRF()
-			row.predicted = len(an.Conflicts())
+		an, err := static.Analyze(tr)
+		if err != nil {
+			row.err = fmt.Errorf("analyze %s: %w", spec.Name, err)
+			return
+		}
+		row.proven = an.ProvenDRF()
+		row.predicted = len(an.Conflicts())
 
-			m, p, err := protocols.Build(protocols.CE, machine.Default(r.cfg.Cores))
-			if err != nil {
-				row.err = fmt.Errorf("build ce: %w", err)
-				return
+		m, p, err := r.acquire(protocols.CE, cores, 0)
+		if err != nil {
+			row.err = fmt.Errorf("build ce: %w", err)
+			return
+		}
+		start := time.Now()
+		res, err := sim.Run(m, p, tr, sim.Options{})
+		row.simTime = time.Since(start)
+		r.release(protocols.CE, cores, 0, m, p)
+		r.record("stat/sim/"+spec.Name, row.simTime)
+		if err != nil {
+			row.err = fmt.Errorf("simulate %s: %w", spec.Name, err)
+			return
+		}
+		row.detected = res.Conflicts
+		for _, ex := range res.Exceptions {
+			c := ex.Conflict
+			if !an.PredictsPair(c.Line, c.First, c.Second) {
+				row.unsound++
 			}
-			start := time.Now()
-			res, err := sim.Run(m, p, tr, sim.Options{})
-			row.simTime = time.Since(start)
-			r.record("stat/sim/"+spec.Name, row.simTime)
-			if err != nil {
-				row.err = fmt.Errorf("simulate %s: %w", spec.Name, err)
-				return
-			}
-			row.detected = res.Conflicts
-			for _, ex := range res.Exceptions {
-				c := ex.Conflict
-				if !an.PredictsPair(c.Line, c.First, c.Second) {
-					row.unsound++
-				}
-			}
-		}(i, spec)
-	}
-	wg.Wait()
+		}
+	})
 
-	// Quiet timing pass: nothing else is running now.
+	// Quiet timing pass: nothing else is running now. Collect first, so
+	// a GC cycle the parallel phase's allocations left in flight does not
+	// land in the millisecond-scale timings.
+	runtime.GC()
 	for i := range rows {
 		if rows[i].err != nil {
 			continue

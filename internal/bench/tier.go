@@ -49,6 +49,12 @@ type tierPhaseRow struct {
 	err        error
 }
 
+// planTier declares the F1 runs TIER reuses: the unchecked ARC run of
+// every DRF-suite workload.
+func planTier(cfg Config) []RunSpec {
+	return crossSpecs(suiteNames(), []string{protocols.ARC}, cfg.Cores)
+}
+
 // runTier executes the TIER experiment: end-to-end evidence for the two
 // analyze-first execution tiers.
 //
@@ -66,20 +72,24 @@ type tierPhaseRow struct {
 //     measured too; the speedup check uses the wall clock when the host
 //     can parallelize and the critical-path bound otherwise.
 //
-// Like CONF and STAT, the experiment is self-contained (no Plan): every
-// measurement is a local timing comparison, so the runs must execute
-// here rather than come from the store or a remote daemon. Runs are
-// serial so the timings are not inflated by concurrent neighbors.
+// The timed runs are local timing comparisons, so they execute here, on
+// pooled machines, rather than come from the store or a remote daemon;
+// they are serial so the timings are not inflated by concurrent
+// neighbors. The one untimed run per workload, the unchecked ARC run the
+// short-circuit substitutes, is F1's, declared by planTier and read
+// through the memo.
 func runTier(r *Runner) (*Output, error) {
 	cores := r.cfg.Cores
-	params := workload.Params{Threads: cores, Seed: r.cfg.Seed, Scale: r.cfg.Scale}
 
 	// Part A: ProvenDRF short-circuit over the DRF suite.
 	suite := workload.Suite()
 	shortRows := make([]tierShortRow, len(suite))
 	for i, spec := range suite {
 		row := tierShortRow{name: spec.Name}
-		tr := spec.Build(params)
+		tr, err := r.trace(spec.Name, cores)
+		if err != nil {
+			return nil, fmt.Errorf("tier: %w", err)
+		}
 		row.events = tr.Events()
 
 		an, best := (*static.Analysis)(nil), time.Duration(math.MaxInt64)
@@ -110,7 +120,7 @@ func runTier(r *Runner) (*Output, error) {
 			continue
 		}
 		row.oracleSim = od
-		plain, _, err := timedRun(r, spec.Name+"/plain", protocols.ARC, cores, tr, false)
+		plain, err := r.Result(spec.Name, protocols.ARC, cores, 0)
 		if err != nil {
 			row.err = err
 			shortRows[i] = row
@@ -125,7 +135,10 @@ func runTier(r *Runner) (*Output, error) {
 	}
 
 	// Part B: phase-parallel simulation of the disjoint-phase kernel.
-	ptr := workload.PhaseDisjoint(params)
+	ptr, err := r.trace(TierPhaseWorkload, cores)
+	if err != nil {
+		return nil, fmt.Errorf("tier: %w", err)
+	}
 	pan, err := static.Analyze(ptr)
 	if err != nil {
 		return nil, fmt.Errorf("tier: analyze %s: %w", TierPhaseWorkload, err)
@@ -329,16 +342,18 @@ speedup %.2fx, achievable %.1fx (%s).
 	}, nil
 }
 
-// timedRun executes one straight-line simulation on a fresh machine and
-// records it in the runner's timing accounting.
+// timedRun executes one straight-line simulation on a pooled machine
+// and records it in the runner's timing accounting. The pair is taken
+// before the timer starts and returned after it stops.
 func timedRun(r *Runner, label, proto string, cores int, tr *trace.Trace, oracle bool) (*sim.Result, time.Duration, error) {
-	m, p, err := protocols.Build(proto, machine.Default(cores))
+	m, p, err := r.acquire(proto, cores, 0)
 	if err != nil {
 		return nil, 0, fmt.Errorf("tier: build %s: %w", proto, err)
 	}
 	start := time.Now()
 	res, err := sim.Run(m, p, tr, sim.Options{CheckWithOracle: oracle})
 	elapsed := time.Since(start)
+	r.release(proto, cores, 0, m, p)
 	if err != nil {
 		return nil, 0, fmt.Errorf("tier: simulate %s/%s: %w", label, proto, err)
 	}

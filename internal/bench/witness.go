@@ -3,13 +3,12 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"arcsim/internal/conformance"
 	"arcsim/internal/core"
-	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
 	"arcsim/internal/sched"
 	"arcsim/internal/sim"
@@ -111,9 +110,10 @@ func fitError(jobs []witJob, est func(witJob) float64) float64 {
 //
 // Like CONF and STAT it is self-contained (no Plan): generated programs
 // bypass the memo, and the cost-model half needs wall-clock timings
-// measured here. The generated-program examinations parallelize under
-// cfg.Jobs; the timing pass runs sequentially afterwards so
-// measurements are not inflated by concurrent simulations.
+// measured here, on pooled machines. The generated-program examinations
+// parallelize under cfg.Jobs; the timing pass runs sequentially
+// afterwards so measurements are not inflated by concurrent
+// simulations.
 func runWitness(r *Runner) (*Output, error) {
 	fams := witFamilies()
 	perFam := int(8 * r.cfg.Scale)
@@ -127,31 +127,23 @@ func runWitness(r *Runner) (*Output, error) {
 		err error
 	}
 	slots := make([][]slot, len(fams))
-	sem := make(chan struct{}, r.cfg.Jobs)
-	var wg sync.WaitGroup
-	for fi, fam := range fams {
+	for fi := range fams {
 		slots[fi] = make([]slot, perFam)
-		for i := 0; i < perFam; i++ {
-			wg.Add(1)
-			go func(fi, i int, cfg conformance.Config) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				seed := r.cfg.Seed*1000 + int64(fi)*100 + int64(i)
-				prog := conformance.Generate(cfg, seed)
-				s := slot{}
-				an, err := static.Analyze(prog.Trace)
-				if err == nil {
-					start := time.Now()
-					s.rep, err = witness.Examine(prog.Trace, an, witness.Options{})
-					r.record(fmt.Sprintf("wit/%s/s%d", prog.Cfg.Kind(), seed), time.Since(start))
-				}
-				s.err = err
-				slots[fi][i] = s
-			}(fi, i, fam.cfg)
-		}
 	}
-	wg.Wait()
+	r.parallel(len(fams)*perFam, func(k int) {
+		fi, i := k/perFam, k%perFam
+		seed := r.cfg.Seed*1000 + int64(fi)*100 + int64(i)
+		prog := conformance.Generate(fams[fi].cfg, seed)
+		s := slot{}
+		an, err := static.Analyze(prog.Trace)
+		if err == nil {
+			start := time.Now()
+			s.rep, err = witness.Examine(prog.Trace, an, witness.Options{})
+			r.record(fmt.Sprintf("wit/%s/s%d", prog.Cfg.Kind(), seed), time.Since(start))
+		}
+		s.err = err
+		slots[fi][i] = s
+	})
 
 	var predicted, confirmed, refuted, unwitnessed, replays int
 	var errs []string
@@ -241,7 +233,10 @@ func runWitness(r *Runner) (*Output, error) {
 
 	// Quiet timing pass: execute each job as the witness-aware tier
 	// would (oracle mirrored unless every prediction is refuted) and
-	// price it both ways.
+	// price it both ways. Collect first, as STAT does, so a GC cycle the
+	// examinations left in flight does not land in a millisecond-scale
+	// timing.
+	runtime.GC()
 	for i := range jobs {
 		j := &jobs[i]
 		var tr *trace.Trace
@@ -256,15 +251,18 @@ func runWitness(r *Runner) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, p, err := protocols.Build(protocols.CE, machine.Default(tr.NumThreads()))
+		cores := tr.NumThreads()
+		m, p, err := r.acquire(protocols.CE, cores, 0)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := sim.Run(m, p, tr, sim.Options{CheckWithOracle: !j.refuted}); err != nil {
+		_, err = sim.Run(m, p, tr, sim.Options{CheckWithOracle: !j.refuted})
+		j.actual = time.Since(start)
+		r.release(protocols.CE, cores, 0, m, p)
+		if err != nil {
 			return nil, fmt.Errorf("wit: simulating %s: %w", j.name, err)
 		}
-		j.actual = time.Since(start)
 		r.record("wit/sim/"+j.name, j.actual)
 
 		j.flat = sched.EstimateCost(sched.CostInputs{

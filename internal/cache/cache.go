@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"arcsim/internal/core"
 )
@@ -100,6 +101,11 @@ type Cache struct {
 	setMask uint64
 	lines   []Line // sets * ways, set-major
 	tick    uint64
+	// touched has one bit per set, raised by Insert — the only path
+	// that makes a line valid, and so the only way a set's lines can
+	// leave the all-zero state New creates. Reset clears just those
+	// sets.
+	touched []uint64
 
 	Stats Stats
 }
@@ -117,6 +123,7 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		setMask: uint64(cfg.Sets() - 1),
 		lines:   make([]Line, cfg.Sets()*cfg.Ways),
+		touched: make([]uint64, (cfg.Sets()+63)/64),
 	}
 }
 
@@ -124,10 +131,21 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Reset empties the cache and zeroes its statistics, returning it to
-// its freshly-built state without reallocating the line array (tens of
-// megabytes for an LLC slice). Pooled machines use it between runs.
+// its freshly-built state (deep-equal to New(cfg)) without reallocating
+// the line array. Only the sets Insert touched since the last Reset are
+// cleared: every other line is still all-zero, so a run that touched a
+// few hundred sets of a megabyte LLC slice pays for those alone.
+// Pooled machines use it between runs; it allocates nothing.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	ways := c.cfg.Ways
+	for w, mask := range c.touched {
+		for mask != 0 {
+			set := w*64 + bits.TrailingZeros64(mask)
+			clear(c.lines[set*ways : (set+1)*ways])
+			mask &= mask - 1
+		}
+		c.touched[w] = 0
+	}
 	c.tick = 0
 	c.Stats = Stats{}
 }
@@ -135,15 +153,18 @@ func (c *Cache) Reset() {
 // SetIndex returns the set a line maps to (diagnostics and tests).
 func (c *Cache) SetIndex(line core.Line) int { return c.cfg.SetOf(line) }
 
-func (c *Cache) setOf(line core.Line) []Line {
+func (c *Cache) setIndex(line core.Line) int {
 	h := uint64(line)
 	if c.cfg.IndexHash {
 		// Fibonacci-style multiplicative mix; deterministic and cheap.
 		h *= 0x9E3779B97F4A7C15
 		h ^= h >> 29
 	}
-	set := int(h & c.setMask)
-	base := set * c.cfg.Ways
+	return int(h & c.setMask)
+}
+
+func (c *Cache) setOf(line core.Line) []Line {
+	base := c.setIndex(line) * c.cfg.Ways
 	return c.lines[base : base+c.cfg.Ways]
 }
 
@@ -180,7 +201,9 @@ func (c *Cache) Peek(line core.Line) *Line {
 // eviction occurred, a copy of the victim. Inserting a line that is
 // already resident is a programming error and panics.
 func (c *Cache) Insert(line core.Line) (slot *Line, victim Line, evicted bool) {
-	set := c.setOf(line)
+	idx := c.setIndex(line)
+	c.touched[idx>>6] |= 1 << (idx & 63)
+	set := c.lines[idx*c.cfg.Ways : (idx+1)*c.cfg.Ways]
 	var free *Line
 	var lru *Line
 	for i := range set {

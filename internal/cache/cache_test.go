@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"arcsim/internal/core"
@@ -188,5 +190,81 @@ func TestSetIndexDistribution(t *testing.T) {
 	c.Insert(3)
 	if c.Occupancy() != 4 {
 		t.Fatalf("occupancy = %d, want 4 (no conflicts across sets)", c.Occupancy())
+	}
+}
+
+// TestResetMatchesNew drives caches through a seeded mix of every
+// mutating operation and requires Reset to restore exactly what New
+// builds — line array, recency clock, statistics, and an empty
+// touched-set bitmap — even though it clears only the sets Insert
+// flagged. The geometries cover the hashed and unhashed index, and a
+// set count spanning several bitmap words.
+func TestResetMatchesNew(t *testing.T) {
+	cfgs := []Config{
+		{Name: "plain", SizeBytes: 8 * 4 * core.LineSize, Ways: 4},
+		{Name: "hashed", SizeBytes: 8 * 4 * core.LineSize, Ways: 4, IndexHash: true},
+		{Name: "plain-wide", SizeBytes: 256 * 2 * core.LineSize, Ways: 2},
+		{Name: "hashed-wide", SizeBytes: 256 * 2 * core.LineSize, Ways: 2, IndexHash: true},
+	}
+	for _, cfg := range cfgs {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			requireFresh := func(c *Cache, when string) {
+				t.Helper()
+				for w, mask := range c.touched {
+					if mask != 0 {
+						t.Fatalf("%s: touched word %d = %#x, want empty", when, w, mask)
+					}
+				}
+				if !reflect.DeepEqual(c, New(cfg)) {
+					t.Fatalf("%s: cache differs from New(cfg): tick %d, stats %+v, occupancy %d",
+						when, c.tick, c.Stats, c.Occupancy())
+				}
+			}
+
+			c := New(cfg)
+			c.Reset()
+			requireFresh(c, "reset of a never-used cache")
+
+			rng := rand.New(rand.NewSource(7))
+			lines := core.Line(4 * cfg.Sets() * cfg.Ways)
+			for round := 0; round < 3; round++ {
+				for step := 0; step < 4000; step++ {
+					line := core.Line(rng.Int63n(int64(lines)))
+					switch op := rng.Intn(10); {
+					case op < 4:
+						if c.Peek(line) == nil {
+							slot, _, _ := c.Insert(line)
+							slot.Dirty = rng.Intn(2) == 0
+							slot.State = uint8(rng.Intn(4))
+							slot.Sharers = rng.Uint64()
+							slot.Owner = int16(rng.Intn(16))
+							slot.Aux = rng.Uint64()
+							slot.Bits.WriteMask = core.ByteMask(rng.Uint64())
+							slot.Remote.ReadMask = core.ByteMask(rng.Uint64())
+						}
+					case op < 7:
+						c.Lookup(line)
+					case op < 8:
+						c.Invalidate(line)
+					case op < 9:
+						state := uint8(rng.Intn(4))
+						c.InvalidateIf(func(l *Line) bool { return l.State == state && l.Tag&1 == 0 })
+					default:
+						c.ForEach(func(l *Line) {
+							l.Aux++
+							l.Dirty = !l.Dirty
+						})
+					}
+				}
+				if c.Occupancy() == 0 {
+					t.Fatalf("round %d: the operation mix left the cache empty", round)
+				}
+				c.Reset()
+				requireFresh(c, fmt.Sprintf("reset after round %d", round))
+				c.Reset()
+				requireFresh(c, fmt.Sprintf("second reset after round %d", round))
+			}
+		})
 	}
 }

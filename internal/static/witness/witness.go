@@ -184,14 +184,35 @@ func machineConfig(cores int) machine.Config {
 	return cfg
 }
 
+// simPair is the machine+protocol pair an examination runs on: built on
+// first use, then Reset before every later run, so an examination pays
+// for one machine build however many directed replays it spends. A
+// Reset pair's results are byte-identical to a fresh build's.
+type simPair struct {
+	m *machine.Machine
+	p machine.Protocol
+}
+
+// next readies x for one run of tr under opt: a Reset when x holds a
+// resettable pair, a fresh build otherwise.
+func (x *simPair) next(tr *trace.Trace, opt Options) error {
+	if r, ok := x.p.(interface{ Reset() }); ok {
+		x.m.Reset()
+		r.Reset()
+		return nil
+	}
+	var err error
+	x.m, x.p, err = protocols.Build(opt.Protocol, machineConfig(tr.NumThreads()))
+	return err
+}
+
 // run executes tr under opt's protocol with the given director (nil for
-// the default schedule).
-func run(tr *trace.Trace, dir sim.Director, opt Options) (*sim.Result, error) {
-	m, p, err := protocols.Build(opt.Protocol, machineConfig(tr.NumThreads()))
-	if err != nil {
+// the default schedule) on x.
+func (x *simPair) run(tr *trace.Trace, dir sim.Director, opt Options) (*sim.Result, error) {
+	if err := x.next(tr, opt); err != nil {
 		return nil, err
 	}
-	return sim.Run(m, p, tr, sim.Options{
+	return sim.Run(x.m, x.p, tr, sim.Options{
 		CheckWithOracle: opt.Oracle,
 		MaxCycles:       opt.MaxCycles,
 		Director:        dir,
@@ -222,13 +243,19 @@ func confirmsRecord(an *static.Analysis, pc static.PredictedConflict, res *sim.R
 // Replay executes d's schedule and reports whether it raised a conflict
 // belonging to record pc — the verification half of the witness
 // contract: every Confirmed prediction's directive must Replay true.
+// It builds a fresh machine, which makes it the reference the
+// examination's recycled pair is checked against.
 func Replay(tr *trace.Trace, an *static.Analysis, pc static.PredictedConflict, d Directive, opt Options) (bool, *sim.Result, error) {
-	opt = opt.normalized()
+	return new(simPair).replay(tr, an, pc, d, opt.normalized())
+}
+
+// replay is Replay on x.
+func (x *simPair) replay(tr *trace.Trace, an *static.Analysis, pc static.PredictedConflict, d Directive, opt Options) (bool, *sim.Result, error) {
 	var dir sim.Director
 	if d.Order != OrderDefault {
 		dir = newCoTimer(d)
 	}
-	res, err := run(tr, dir, opt)
+	res, err := x.run(tr, dir, opt)
 	if err != nil {
 		if scheduleFault(err) {
 			return false, nil, nil
@@ -275,12 +302,13 @@ func Examine(tr *trace.Trace, an *static.Analysis, opt Options) (*Report, error)
 	// Lazy — a fully refuted program never simulates — and tolerant of
 	// programs whose default schedule deadlocks (they just detect
 	// nothing by default).
+	var x simPair
 	var base *sim.Result
 	baseline := func() (*sim.Result, error) {
 		if base != nil {
 			return base, nil
 		}
-		res, err := run(tr, nil, opt)
+		res, err := x.run(tr, nil, opt)
 		if err != nil && !scheduleFault(err) {
 			return nil, fmt.Errorf("witness: baseline run: %w", err)
 		}
@@ -318,7 +346,7 @@ func Examine(tr *trace.Trace, an *static.Analysis, opt Options) (*Report, error)
 					d := Directive{Line: pc.Line, A: pair[0], B: pair[1], Order: ord}
 					rep.Replays++
 					p.Replays++
-					ok, _, err := Replay(tr, an, pc, d, opt)
+					ok, _, err := x.replay(tr, an, pc, d, opt)
 					if err != nil {
 						return nil, fmt.Errorf("witness: replay %v: %w", d, err)
 					}

@@ -1,6 +1,9 @@
 package witness_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"arcsim/internal/core"
@@ -185,6 +188,59 @@ func TestExamineRacyWorkloads(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExamineRacySharingPinned examines racy-sharing at the WIT
+// experiment's configuration (16 threads, seed 1, scale 0.25), where the
+// whole replay budget is spent and every replay confirms a prediction.
+// Examine runs the baseline and all 64 replays on one recycled machine;
+// the counts and the digest of every prediction's status and directive
+// were computed when each run built a fresh machine, so they pin the
+// recycling to change no verdict. Every directed witness also replays on
+// Replay's fresh build.
+func TestExamineRacySharingPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 16-thread examination with 64 directed replays takes seconds")
+	}
+	spec, ok := workload.ByName("racy-sharing")
+	if !ok {
+		t.Fatal("workload racy-sharing missing")
+	}
+	tr := spec.Build(workload.Params{Threads: 16, Seed: 1, Scale: 0.25})
+	an, rep := examine(t, tr, witness.Options{})
+
+	type counts struct{ predicted, confirmed, refuted, unwitnessed, replays int }
+	want := counts{4482, 4414, 0, 68, 64}
+	if got := (counts{rep.Predicted, rep.Confirmed, rep.Refuted, rep.Unwitnessed, rep.Replays}); got != want {
+		t.Fatalf("classification = %+v, want %+v", got, want)
+	}
+	h := sha256.New()
+	for _, p := range rep.Predictions {
+		fmt.Fprintf(h, "%s", p.Status)
+		if p.Witness != nil {
+			fmt.Fprintf(h, " %v", *p.Witness)
+		}
+		h.Write([]byte{'\n'})
+	}
+	const wantDigest = "41794bbe304f318af7e6977c2e41e7735de6531623286dcfffeac0114596f2fc"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Errorf("prediction digest = %s, want %s", got, wantDigest)
+	}
+
+	directed := 0
+	for _, p := range rep.Predictions {
+		if p.Status != witness.Confirmed || p.Witness.Order == witness.OrderDefault {
+			continue
+		}
+		directed++
+		ok, _, err := witness.Replay(tr, an, p.Conflict, *p.Witness, witness.Options{})
+		if err != nil || !ok {
+			t.Fatalf("directed witness %v did not replay on a fresh machine (ok=%v err=%v)", p.Witness, ok, err)
+		}
+	}
+	if directed != rep.Replays {
+		t.Errorf("%d directed witnesses, want one per replay (%d)", directed, rep.Replays)
 	}
 }
 
