@@ -33,6 +33,13 @@ func DefaultConfig() Config {
 	return Config{Entries: 32768, Ways: 8, Latency: 3}
 }
 
+// MaxEntries is the ceiling on Entries: 32x the default and 16x the
+// largest size the F6 sweep runs. It bounds the banks' line arrays near
+// 80 MB at any tile count; without it a geometrically valid size such as
+// 1<<36 entries passes Validate and exhausts memory when the banks are
+// built.
+const MaxEntries = 1 << 20
+
 // Validate checks the configuration for the given tile count.
 func (c Config) Validate(tiles int) error {
 	if c.Entries == 0 {
@@ -40,6 +47,9 @@ func (c Config) Validate(tiles int) error {
 	}
 	if c.Entries < 0 || c.Ways <= 0 || c.Latency == 0 {
 		return fmt.Errorf("aim: invalid config %+v", c)
+	}
+	if c.Entries > MaxEntries {
+		return fmt.Errorf("aim: %d entries exceeds the %d-entry ceiling", c.Entries, MaxEntries)
 	}
 	per := c.Entries / tiles
 	if per*tiles != c.Entries {

@@ -80,12 +80,17 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(8); err != nil {
 		t.Errorf("disabled config rejected: %v", err)
 	}
+	if err := (Config{Entries: MaxEntries, Ways: 8, Latency: 3}).Validate(64); err != nil {
+		t.Errorf("config at the ceiling rejected: %v", err)
+	}
 	bad := []Config{
 		{Entries: -1, Ways: 4, Latency: 1},
-		{Entries: 100, Ways: 4, Latency: 1},    // not divisible by 8 tiles
-		{Entries: 1024, Ways: 0, Latency: 1},   // no ways
-		{Entries: 1024, Ways: 4, Latency: 0},   // no latency
-		{Entries: 8 * 24, Ways: 8, Latency: 1}, // 3 sets per tile, not pow2
+		{Entries: 100, Ways: 4, Latency: 1},            // not divisible by 8 tiles
+		{Entries: 1024, Ways: 0, Latency: 1},           // no ways
+		{Entries: 1024, Ways: 4, Latency: 0},           // no latency
+		{Entries: 8 * 24, Ways: 8, Latency: 1},         // 3 sets per tile, not pow2
+		{Entries: 2 * MaxEntries, Ways: 8, Latency: 3}, // over the ceiling
+		{Entries: 1 << 36, Ways: 8, Latency: 3},        // valid geometry, out of memory when built
 	}
 	for i, c := range bad {
 		if err := c.Validate(8); err == nil {

@@ -38,10 +38,14 @@ func Names() []string { return []string{MESI, CE, CEPlus, ARC} }
 // Detecting returns the designs that detect region conflicts.
 func Detecting() []string { return []string{CE, CEPlus, ARC} }
 
-// Build assembles a machine for cfg and the named protocol engine on top
-// of it. It adjusts cfg's AIM per the design: disabled for MESI and CE,
-// enabled (defaulting if unset) for CE+ and ARC.
-func Build(name string, cfg machine.Config) (*machine.Machine, machine.Protocol, error) {
+// MachineConfig returns cfg as the named design runs it, or the error
+// Build would return for it. It is the designs' whole rulebook: it
+// rejects an unknown design, applies the design's AIM policy (disabled
+// for MESI, MOESI and CE; the default AIM when unset for the others),
+// and validates the result with machine.Config.Validate. It allocates
+// nothing on success, so a caller can check a configuration without
+// building a machine.
+func MachineConfig(name string, cfg machine.Config) (machine.Config, error) {
 	switch name {
 	case MESI, CE, MOESI:
 		cfg.AIM = aim.Config{}
@@ -50,10 +54,21 @@ func Build(name string, cfg machine.Config) (*machine.Machine, machine.Protocol,
 			cfg.AIM = aim.DefaultConfig()
 		}
 	default:
-		return nil, nil, fmt.Errorf("protocols: unknown design %q (want one of %v)", name, Names())
+		return machine.Config{}, fmt.Errorf("protocols: unknown design %q (want one of %v)", name, Names())
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("protocols: %s: %w", name, err)
+		return machine.Config{}, fmt.Errorf("protocols: %s: %w", name, err)
+	}
+	return cfg, nil
+}
+
+// Build assembles a machine for the configuration MachineConfig returns
+// for name and cfg, and the named protocol engine on top of it. It fails
+// exactly when MachineConfig does, before allocating anything.
+func Build(name string, cfg machine.Config) (*machine.Machine, machine.Protocol, error) {
+	cfg, err := MachineConfig(name, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	m := machine.New(cfg)
 	var p machine.Protocol

@@ -700,9 +700,12 @@ func (s *Server) closeSubs(j *job) {
 	j.subs = nil
 }
 
-// normalizeSpec applies defaults and validates against the same rules
-// the engine enforces, so bad requests fail at submit time with a 400
-// instead of becoming failed jobs.
+// normalizeSpec applies defaults and validates spec, so bad requests
+// fail at submit time with a 400 instead of becoming failed jobs. Past
+// the workload and the sign of aimEntries, it applies the engine's own
+// rules through protocols.MachineConfig, on the machine configuration
+// the worker will build: the design name, cores in [1,64], and the AIM
+// geometry and ceiling. It builds no machine.
 func normalizeSpec(spec *JobSpec) error {
 	spec.Protocol = strings.ToLower(strings.TrimSpace(spec.Protocol))
 	spec.Workload = strings.TrimSpace(spec.Workload)
@@ -725,22 +728,15 @@ func normalizeSpec(spec *JobSpec) error {
 			return fmt.Errorf("unknown workload %q", spec.Workload)
 		}
 	}
-	if spec.Cores < 1 || spec.Cores > 256 {
-		return fmt.Errorf("cores %d out of range [1,256]", spec.Cores)
-	}
 	if spec.AIMEntries < 0 {
 		return fmt.Errorf("aimEntries %d must be >= 0", spec.AIMEntries)
 	}
-	// Building the machine validates protocol name, core count, and AIM
-	// geometry with the engine's own rules.
 	mcfg := machine.Default(spec.Cores)
 	if spec.AIMEntries > 0 {
 		mcfg.AIM.Entries = spec.AIMEntries
 	}
-	if _, _, err := protocols.Build(spec.Protocol, mcfg); err != nil {
-		return err
-	}
-	return nil
+	_, err := protocols.MachineConfig(spec.Protocol, mcfg)
+	return err
 }
 
 // viewLocked snapshots a job for JSON (caller holds s.mu).

@@ -9,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"arcsim/internal/mesh"
+	"arcsim/internal/protocols"
 	"arcsim/internal/sim"
 	"arcsim/internal/store"
 )
@@ -318,7 +320,12 @@ func TestLiveSSEFollowsJob(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1})
+	designs := []string{
+		protocols.MESI, protocols.CE, protocols.CEPlus, protocols.ARC,
+		protocols.ARCNoRO, protocols.ARCNoPrivate, protocols.MOESI,
+		protocols.CEPlusMOESI, protocols.CEPlusWord, protocols.ARCWord,
+	}
+	srv := New(Config{Workers: 1, QueueDepth: 2 * len(designs)})
 	// No Start: validation must reject before anything reaches the queue.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -327,12 +334,68 @@ func TestSubmitValidation(t *testing.T) {
 		{},                                    // no workload
 		{Workload: "nope", Protocol: "arc"},   // unknown workload
 		{Workload: "x264", Protocol: "turbo"}, // unknown protocol
+		{Workload: "x264", Protocol: "arc-nofast"},      // unknown ablation
 		{Workload: "x264", Protocol: "arc", Cores: -3},  // bad cores
+		{Workload: "x264", Protocol: "arc", Cores: 65},  // one past the directory bitmask
 		{Workload: "x264", Protocol: "arc", Cores: 999}, // too many cores
+		{Workload: "x264", Protocol: "arc", Cores: 1 << 40},
+		{Workload: "x264", Protocol: "ce+", AIMEntries: 12}, // 12 entries across 8 tiles
+		{Workload: "x264", Protocol: "arc", AIMEntries: 12},
+		{Workload: "x264", Protocol: "arc", AIMEntries: -1},
+		{Workload: "x264", Protocol: "arc", Cores: 8, AIMEntries: 1 << 36}, // over the AIM ceiling
 	} {
 		resp, _ := postJob(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %+v: got %d, want 400", spec, resp.StatusCode)
+		}
+	}
+	if jobs := srv.jobList(); len(jobs) != 0 {
+		t.Fatalf("rejected specs registered %d jobs", len(jobs))
+	}
+
+	for _, design := range designs {
+		for _, cores := range []int{1, 64} {
+			spec := JobSpec{Workload: "x264", Protocol: design, Cores: cores}
+			if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusAccepted {
+				t.Errorf("spec %+v: got %d, want 202", spec, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// TestSubmitValidatesWithoutBuilding holds submit validation to the
+// engine's rules alone. Building the machine a 16-core spec describes
+// allocates about 23 MB, so the 1 MB bound fails any submit that builds
+// one.
+func TestSubmitValidatesWithoutBuilding(t *testing.T) {
+	const submits = 20
+	srv := New(Config{Workers: 1, QueueDepth: submits})
+	h := srv.Handler()
+	body := `{"workload":"x264","protocol":"arc","cores":16}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < submits; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: got %d, want 202: %s", i, rec.Code, rec.Body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / submits; per >= 1<<20 {
+		t.Errorf("each submit allocated %d bytes, want under 1 MB", per)
+	}
+}
+
+// BenchmarkNormalizeSpec measures submit-time validation of a valid
+// 16-core ARC spec.
+func BenchmarkNormalizeSpec(b *testing.B) {
+	valid := JobSpec{Workload: "x264", Protocol: "arc", Cores: 16}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		spec := valid
+		if err := normalizeSpec(&spec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
