@@ -64,8 +64,8 @@ lint:
 # harness (worker pool + singleflight memo), the engine it drives (now
 # phase-parallel), the trace/workload layers it fans goroutines over,
 # the differential conformance checker, the daemon's service + store
-# layers and the peer mesh federating them, the failover client that
-# fans sweeps across daemons, and the cost-model scheduler (core state
+# layers and the peer mesh federating them, the job-API client, and the
+# cost-model scheduler that fans sweeps across daemons (core state
 # machine, fleet driver, sim harness).
 race:
 	$(GO) test -race -short ./internal/bench/ ./internal/sim/ ./internal/conformance/ \

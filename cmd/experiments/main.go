@@ -13,6 +13,10 @@
 //	experiments -j 1                # serial (debugging / timing baseline)
 //	experiments -md EXPERIMENTS.md  # also write the markdown record
 //	experiments -remote http://a:8080,http://b:8080   # dispatch across daemons
+//
+// -remote runs every simulation through the cost-model scheduler
+// (internal/sched/fleet); when the fleet cannot run one, the runner
+// falls back to executing it locally.
 package main
 
 import (
@@ -48,8 +52,7 @@ func main() {
 		mdPath   = flag.String("md", "", "write the markdown record (EXPERIMENTS.md) to this path")
 		outDir   = flag.String("out", "", "also write each experiment's artifact to <dir>/<ID>.txt")
 		storeDir = flag.String("store", "", "persistent result store directory (shared with arcsimd): reuse proven results, persist new ones")
-		remote   = flag.String("remote", "", "comma-separated arcsimd base URLs: dispatch simulations across the pool with failover, -j bounding in-flight runs; falls back to local execution when every endpoint is down")
-		schedule = flag.Bool("sched", false, "with -remote: dispatch through the cost-model scheduler (longest-job-first onto the least-loaded daemon, work stealing, /metrics load probes) instead of blind round-robin")
+		remote   = flag.String("remote", "", "comma-separated arcsimd base URLs: dispatch simulations through the cost-model scheduler (longest-job-first onto the least-loaded daemon, work stealing, /metrics load probes, failover), -j bounding in-flight runs; falls back to local execution when the fleet cannot run a simulation")
 		tier     = flag.Bool("tier", true, "analyze-first tiered execution: skip oracle mirroring on proven-DRF traces (locally and fleet-wide under -remote) and phase-parallelize eligible traces; artifacts stay byte-identical")
 		verbose  = flag.Bool("v", false, "print one line per simulation run")
 	)
@@ -83,21 +86,12 @@ func main() {
 		if len(endpoints) == 0 {
 			fatal(fmt.Errorf("-remote %q names no endpoints", *remote))
 		}
-		if *schedule {
-			sch := fleet.New(endpoints, fleet.Options{})
-			sch.Start(context.Background())
-			defer sch.Stop()
-			fmt.Fprintf(os.Stderr, "scheduling runs across %s (cost-model LJF; failing fast to local when all are down)\n",
-				strings.Join(endpoints, ", "))
-			cfg.Exec = schedExec(sch, cfg, &runner)
-		} else {
-			pool := client.NewPool(endpoints, client.PoolOptions{})
-			fmt.Fprintf(os.Stderr, "dispatching runs to %s (falling back to local when all are down)\n",
-				strings.Join(pool.Endpoints(), ", "))
-			cfg.Exec = remoteExec(pool, cfg)
-		}
-	} else if *schedule {
-		fatal(fmt.Errorf("-sched requires -remote endpoints"))
+		sch := fleet.New(endpoints, fleet.Options{})
+		sch.Start(context.Background())
+		defer sch.Stop()
+		fmt.Fprintf(os.Stderr, "scheduling runs across %s (cost-model LJF; failing fast to local when all are down)\n",
+			strings.Join(endpoints, ", "))
+		cfg.Exec = schedExec(sch, cfg, &runner)
 	}
 	runner = bench.NewRunner(cfg)
 
@@ -160,30 +154,6 @@ func main() {
 	}
 }
 
-// remoteExec adapts a daemon pool to the Runner's Exec hook: each run
-// becomes a job submitted to a healthy endpoint (the Runner's memo and
-// worker pool already guarantee one dispatch per spec, at most -j in
-// flight). An exhausted pool maps to ErrRemoteUnavailable so the Runner
-// completes the sweep locally; the result bytes are the store's
-// canonical encoding either way, so artifacts stay byte-identical.
-func remoteExec(pool *client.Pool, cfg bench.Config) func(context.Context, bench.RunSpec) (*sim.Result, error) {
-	return func(ctx context.Context, spec bench.RunSpec) (*sim.Result, error) {
-		res, err := pool.Run(ctx, client.JobSpec{
-			Workload:   spec.Workload,
-			Protocol:   spec.Proto,
-			Cores:      spec.Cores,
-			AIMEntries: spec.AIMEntries,
-			Scale:      cfg.Scale,
-			Seed:       cfg.Seed,
-			Oracle:     spec.Oracle,
-		})
-		if errors.Is(err, client.ErrNoEndpoints) {
-			return nil, fmt.Errorf("%w: %v", bench.ErrRemoteUnavailable, err)
-		}
-		return res, err
-	}
-}
-
 // splitEndpoints parses a comma-separated -remote list, dropping blanks.
 func splitEndpoints(s string) []string {
 	var out []string
@@ -195,8 +165,14 @@ func splitEndpoints(s string) []string {
 	return out
 }
 
-// schedExec adapts the fleet scheduler to the Runner's Exec hook. Each
-// run's cost is predicted from the same memoized static analysis the
+// schedExec adapts the fleet scheduler to the Runner's Exec hook: each
+// run becomes a job on the fleet (the Runner's memo and worker pool
+// already guarantee one dispatch per spec, at most -j in flight). A
+// fleet that cannot run it maps to ErrRemoteUnavailable so the Runner
+// completes the sweep locally; the result bytes are the store's
+// canonical encoding either way, so artifacts stay byte-identical.
+//
+// Each run's cost is predicted from the same memoized static analysis the
 // tiered Runner consults (event count, proven-DRF verdict), so the
 // scheduler sees heavy may-conflict simulations and ~free short-circuit
 // candidates for what they are. The witness tier's free refutation pass
@@ -232,7 +208,7 @@ func schedExec(sch *fleet.Scheduler, cfg bench.Config, runner **bench.Runner) fu
 			Seed:       cfg.Seed,
 			Oracle:     spec.Oracle,
 		}, sched.EstimateCost(in), 0)
-		if errors.Is(err, client.ErrNoEndpoints) {
+		if errors.Is(err, fleet.ErrNoEndpoints) {
 			return nil, fmt.Errorf("%w: %v", bench.ErrRemoteUnavailable, err)
 		}
 		return res, err

@@ -52,10 +52,10 @@ type Config struct {
 	// canonical key. Results served from it carry CacheHit=true.
 	Cache Cache
 	// Exec, when non-nil, replaces local execution: every run the memo
-	// and Cache could not serve is handed to it (cmd/experiments wires a
-	// client.Pool here to spread sweeps across daemons). An error
+	// and Cache could not serve is handed to it (cmd/experiments wires
+	// the fleet scheduler here to spread sweeps across daemons). An error
 	// wrapping ErrRemoteUnavailable falls back to executing locally —
-	// the sweep completes on one machine when the whole pool is down;
+	// the sweep completes on one machine when the whole fleet is down;
 	// any other error is the run's result, exactly as a local failure
 	// would be. Exec must honor ctx and is called concurrently.
 	Exec func(ctx context.Context, spec RunSpec) (*sim.Result, error)

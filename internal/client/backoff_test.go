@@ -1,56 +1,6 @@
 package client
 
-import (
-	"testing"
-	"time"
-)
-
-// TestMarkDownCooldownOverflow pins the exponential cooldown: it doubles
-// from base, saturates at max, and stays at max for historic failure
-// counts far past the shift width instead of relying on a signed shift
-// overflowing into the clamp.
-func TestMarkDownCooldownOverflow(t *testing.T) {
-	base, max := time.Second, 30*time.Second
-	now := time.Unix(1000, 0)
-
-	e := &endpoint{}
-	want := []time.Duration{
-		1 * time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second,
-		16 * time.Second, 30 * time.Second, 30 * time.Second,
-	}
-	for i, w := range want {
-		e.markDown(now, base, max)
-		if got := e.downUntil.Sub(now); got != w {
-			t.Fatalf("failure %d: cooldown %v, want %v", i+1, got, w)
-		}
-	}
-
-	// Endpoints carrying failure counts past the shift width (a daemon
-	// down for weeks) must land exactly on max, never a negative or
-	// wrapped duration.
-	for _, fails := range []int{40, 70} {
-		e := &endpoint{fails: fails}
-		e.markDown(now, base, max)
-		if got := e.downUntil.Sub(now); got != max {
-			t.Fatalf("fails=%d: cooldown %v, want %v", fails, got, max)
-		}
-		if e.fails != fails {
-			t.Fatalf("fails=%d grew to %d at saturation", fails, e.fails)
-		}
-	}
-
-	// The counter itself stays bounded under endless failures.
-	e2 := &endpoint{}
-	for i := 0; i < 1000; i++ {
-		e2.markDown(now, base, max)
-	}
-	if e2.fails > maxCooldownShift+1 {
-		t.Fatalf("fails grew unboundedly: %d", e2.fails)
-	}
-	if got := e2.downUntil.Sub(now); got != max {
-		t.Fatalf("saturated cooldown %v, want %v", got, max)
-	}
-}
+import "testing"
 
 // TestRetryDelayHighAttempt pins Retry.delay at attempt counts where
 // Base<<attempt would overflow: the delay clamps to Max and never goes

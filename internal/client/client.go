@@ -1,7 +1,7 @@
 // Package client is the typed Go client for the arcsimd job API: submit
 // (single or batch), poll, SSE wait with Last-Event-ID resume, result
-// fetch, and cancel against one daemon — plus a Pool that spreads runs
-// across several daemons with per-endpoint health tracking and failover
+// fetch, and cancel against one daemon. Spreading runs across several
+// daemons, with benching and failover, is internal/sched/fleet's job
 // (DESIGN.md "Distributed sweep execution" documents the policy).
 //
 // Every unary call retries transient failures (network errors, 5xx,
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"arcsim/internal/backoff"
 	"arcsim/internal/mesh"
 	"arcsim/internal/server"
 	"arcsim/internal/sim"
@@ -72,15 +73,11 @@ func (r Retry) normalized() Retry {
 
 // delay returns the full-jitter backoff for attempt (0-based): a uniform
 // draw from (0, Base*2^attempt] capped at Max, so a fleet of clients
-// spreads its retries instead of thundering back in lockstep. The shift
-// exponent is capped explicitly — an SSE follow that reconnects for
-// hours reaches attempt counts where Base<<attempt overflows, and an
-// overflowed shift landing in a clamp is not behavior to rely on.
+// spreads its retries instead of thundering back in lockstep. An SSE
+// follow that reconnects for hours reaches attempt counts where
+// Base<<attempt would overflow; backoff.Exp saturates at Max instead.
 func (r Retry) delay(attempt int, rnd func() float64) time.Duration {
-	d := r.Max
-	if attempt >= 0 && attempt < maxCooldownShift && r.Base <= r.Max>>attempt {
-		d = r.Base << attempt
-	}
+	d := backoff.Exp(r.Base, r.Max, attempt)
 	return time.Duration((rnd()*0.999 + 0.001) * float64(d))
 }
 

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -328,334 +327,6 @@ func TestFollowJobLostAfterRestart(t *testing.T) {
 	}
 }
 
-// TestPoolFailsOverWhenEndpointDies: two daemons; the one holding the
-// in-flight job dies mid-run. The pool must bench it, resubmit on the
-// survivor, and return the result — the caller never sees the death.
-func TestPoolFailsOverWhenEndpointDies(t *testing.T) {
-	stuck := make(chan struct{})
-	defer close(stuck)
-	// Daemon 1 wedges every job until the test ends (simulating a
-	// machine about to die); daemon 2 is healthy.
-	_, ts1 := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-stuck:
-			return nil, errors.New("daemon died")
-		}
-	})
-	var served atomic.Int64
-	_, ts2 := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		served.Add(1)
-		return syntheticResult(spec), nil
-	})
-
-	p := NewPool([]string{ts1.URL, ts2.URL}, PoolOptions{
-		Client:       fastRetry(),
-		CooldownBase: 50 * time.Millisecond,
-	})
-	// Kill daemon 1 shortly after the run lands on it.
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		ts1.CloseClientConnections()
-		ts1.Close()
-	}()
-	res, err := p.Run(context.Background(), JobSpec{Workload: "lu", Protocol: "arc", Cores: 2})
-	if err != nil {
-		t.Fatalf("pool run across endpoint death: %v", err)
-	}
-	if res.Workload != "lu" || res.Cycles == 0 {
-		t.Fatalf("bad result: %+v", res)
-	}
-	if served.Load() != 1 {
-		t.Fatalf("survivor executed %d times, want 1", served.Load())
-	}
-	if p.Healthy() != 1 {
-		t.Fatalf("healthy endpoints = %d, want 1 (the dead one benched)", p.Healthy())
-	}
-	// Subsequent runs route straight to the survivor.
-	if _, err := p.Run(context.Background(), JobSpec{Workload: "radix", Protocol: "arc", Cores: 2}); err != nil {
-		t.Fatalf("post-failover run: %v", err)
-	}
-}
-
-// TestPoolExactlyOnceAcrossKill drives a sweep of distinct specs
-// through a two-daemon pool, killing one daemon partway. Every spec
-// must complete with a result, and no spec may complete its simulation
-// more than once across the fleet.
-func TestPoolExactlyOnceAcrossKill(t *testing.T) {
-	var mu sync.Mutex
-	completed := map[string]int{}
-	count := func(spec JobSpec) {
-		mu.Lock()
-		completed[spec.Workload]++
-		mu.Unlock()
-	}
-	_, ts1 := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		count(spec)
-		return syntheticResult(spec), nil
-	})
-	_, ts2 := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		count(spec)
-		return syntheticResult(spec), nil
-	})
-	p := NewPool([]string{ts1.URL, ts2.URL}, PoolOptions{
-		Client:       fastRetry(),
-		CooldownBase: 50 * time.Millisecond,
-	})
-
-	specs := []string{"lu", "radix", "barnes", "water", "x264", "dedup"}
-	results := map[string]*sim.Result{}
-	for i, wl := range specs {
-		if i == len(specs)/2 {
-			ts1.CloseClientConnections()
-			ts1.Close() // one daemon dies mid-sweep
-		}
-		res, err := p.Run(context.Background(), JobSpec{Workload: wl, Protocol: "arc", Cores: 2})
-		if err != nil {
-			t.Fatalf("spec %s: %v", wl, err)
-		}
-		results[wl] = res
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, wl := range specs {
-		if completed[wl] != 1 {
-			t.Errorf("spec %s completed %d times across the fleet, want exactly 1", wl, completed[wl])
-		}
-		if results[wl].Cycles != syntheticResult(JobSpec{Workload: wl}).Cycles {
-			t.Errorf("spec %s: wrong result %+v", wl, results[wl])
-		}
-	}
-}
-
-// TestPoolAllDownReturnsErrNoEndpoints: with every endpoint dead the
-// pool reports ErrNoEndpoints promptly — the signal cmd/experiments
-// maps to bench.ErrRemoteUnavailable to run locally.
-func TestPoolAllDownReturnsErrNoEndpoints(t *testing.T) {
-	dead1 := httptest.NewServer(http.NotFoundHandler())
-	dead2 := httptest.NewServer(http.NotFoundHandler())
-	dead1.Close()
-	dead2.Close()
-	p := NewPool([]string{dead1.URL, dead2.URL}, PoolOptions{
-		Client:       fastRetry(),
-		CooldownBase: time.Minute, // benched endpoints stay benched
-	})
-	start := time.Now()
-	_, err := p.Run(context.Background(), JobSpec{Workload: "lu", Protocol: "arc", Cores: 2})
-	if !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v, want ErrNoEndpoints", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("all-down detection took %v", elapsed)
-	}
-	// Once benched, the next run short-circuits without dialing.
-	if _, err := p.Run(context.Background(), JobSpec{Workload: "radix"}); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("benched pool err = %v, want ErrNoEndpoints", err)
-	}
-	if p.Healthy() != 0 {
-		t.Fatalf("healthy = %d, want 0", p.Healthy())
-	}
-}
-
-// TestPoolJobFailureDoesNotFailOver: a deterministic simulation failure
-// is the run's answer; re-running it on every other daemon would just
-// fail again, so the pool must not bench the endpoint or retry.
-func TestPoolJobFailureDoesNotFailOver(t *testing.T) {
-	var runs1, runs2 atomic.Int64
-	_, ts1 := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		runs1.Add(1)
-		return nil, errors.New("deadlock detected")
-	})
-	_, ts2 := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		runs2.Add(1)
-		return nil, errors.New("deadlock detected")
-	})
-	p := NewPool([]string{ts1.URL, ts2.URL}, PoolOptions{Client: fastRetry()})
-	_, err := p.Run(context.Background(), JobSpec{Workload: "lu", Protocol: "arc", Cores: 2})
-	var jf *JobFailedError
-	if !errors.As(err, &jf) {
-		t.Fatalf("err = %v, want JobFailedError", err)
-	}
-	if total := runs1.Load() + runs2.Load(); total != 1 {
-		t.Fatalf("failed job executed %d times, want 1 (no failover on deterministic failure)", total)
-	}
-	if p.Healthy() != 2 {
-		t.Fatalf("healthy = %d, want 2 (job failure is not endpoint failure)", p.Healthy())
-	}
-}
-
-// writeJSONStatus is the fake daemons' response helper.
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
-// sseDone writes a one-event SSE stream carrying the job's terminal view.
-func sseDone(w http.ResponseWriter, view JobView) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	data, _ := json.Marshal(view)
-	fmt.Fprintf(w, "id: 0\nevent: done\ndata: %s\n\n", data)
-}
-
-// TestPoolRejectsForeignJobAfterIDReuse scripts the pre-epoch collision
-// scenario: the daemon restarts between submit and follow, and the
-// submitted id now names a *different* client's job. The pool must
-// notice the spec mismatch, refuse the foreign result, and resubmit its
-// own spec — never harvest someone else's artifact into the sweep.
-func TestPoolRejectsForeignJobAfterIDReuse(t *testing.T) {
-	mine := JobSpec{Workload: "lu", Protocol: "arc", Cores: 2, Scale: 0.25, Seed: 1}
-	foreign := JobSpec{Workload: "radix", Protocol: "ce", Cores: 8, Scale: 0.25, Seed: 1}
-	var submits, foreignFetches atomic.Int64
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			var spec JobSpec
-			json.NewDecoder(r.Body).Decode(&spec) //nolint:errcheck
-			id := fmt.Sprintf("j%06d", submits.Add(1))
-			writeJSONStatus(w, http.StatusAccepted, JobView{ID: id, Spec: spec, State: server.StateQueued})
-		case r.URL.Path == "/v1/jobs/j000001/events":
-			// j000001 belongs to the other client in this "lifetime".
-			sseDone(w, JobView{ID: "j000001", Spec: foreign, State: server.StateDone})
-		case r.URL.Path == "/v1/jobs/j000002/events":
-			sseDone(w, JobView{ID: "j000002", Spec: mine, State: server.StateDone})
-		case r.URL.Path == "/v1/jobs/j000001/result":
-			foreignFetches.Add(1)
-			writeJSONStatus(w, http.StatusOK, syntheticResult(foreign))
-		case r.URL.Path == "/v1/jobs/j000002/result":
-			writeJSONStatus(w, http.StatusOK, syntheticResult(mine))
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer fake.Close()
-
-	p := NewPool([]string{fake.URL}, PoolOptions{Client: fastRetry()})
-	res, err := p.Run(context.Background(), mine)
-	if err != nil {
-		t.Fatalf("run across id reuse: %v", err)
-	}
-	if res.Workload != mine.Workload {
-		t.Fatalf("pool returned the foreign job's result: %+v", res)
-	}
-	if foreignFetches.Load() != 0 {
-		t.Fatal("pool fetched the foreign job's result")
-	}
-	if submits.Load() != 2 {
-		t.Fatalf("submits = %d, want 2 (mismatch detected, spec resubmitted)", submits.Load())
-	}
-	if p.Healthy() != 1 {
-		t.Fatal("endpoint benched: id reuse comes from a live daemon, not a fault")
-	}
-}
-
-// TestPoolOperatorCancelDoesNotFailOver: `arcsimctl cancel` of a
-// pool-run job must surface as ErrJobCanceled — not bench the healthy
-// daemon that honored the cancel, and not resurrect the job elsewhere.
-func TestPoolOperatorCancelDoesNotFailOver(t *testing.T) {
-	var runs1, runs2 atomic.Int64
-	running := make(chan struct{}, 4)
-	block := func(runs *atomic.Int64) func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		return func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-			runs.Add(1)
-			running <- struct{}{}
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-	}
-	_, ts1 := newDaemon(t, block(&runs1))
-	_, ts2 := newDaemon(t, block(&runs2))
-	p := NewPool([]string{ts1.URL, ts2.URL}, PoolOptions{Client: fastRetry()})
-
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := p.Run(context.Background(), JobSpec{Workload: "lu", Protocol: "arc", Cores: 2})
-		errCh <- err
-	}()
-	<-running // the job is mid-run on one of the daemons
-	canceled := false
-	for _, base := range []string{ts1.URL, ts2.URL} {
-		c := New(base, fastRetry())
-		jobs, err := c.List(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, j := range jobs {
-			if j.State == server.StateRunning {
-				if err := c.Cancel(context.Background(), j.ID); err != nil {
-					t.Fatal(err)
-				}
-				canceled = true
-			}
-		}
-	}
-	if !canceled {
-		t.Fatal("no running job found to cancel")
-	}
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrJobCanceled) {
-			t.Fatalf("err = %v, want ErrJobCanceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pool never returned after the cancel")
-	}
-	if total := runs1.Load() + runs2.Load(); total != 1 {
-		t.Fatalf("canceled job started %d times, want 1 (no resurrection)", total)
-	}
-	if p.Healthy() != 2 {
-		t.Fatalf("healthy = %d, want 2 (cancel must not bench a healthy daemon)", p.Healthy())
-	}
-}
-
-// TestPoolDrainCancelFailsOver: a job canceled because its daemon is
-// draining is an endpoint fault, not an operator decision — the pool
-// benches the drainer and reruns the job on a survivor.
-func TestPoolDrainCancelFailsOver(t *testing.T) {
-	var mu sync.Mutex
-	var submitted JobSpec
-	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			var spec JobSpec
-			json.NewDecoder(r.Body).Decode(&spec) //nolint:errcheck
-			mu.Lock()
-			submitted = spec
-			mu.Unlock()
-			writeJSONStatus(w, http.StatusAccepted, JobView{ID: "j000001", Spec: spec, State: server.StateQueued})
-		case r.URL.Path == "/v1/jobs/j000001/events":
-			mu.Lock()
-			spec := submitted
-			mu.Unlock()
-			sseDone(w, JobView{ID: "j000001", Spec: spec, State: server.StateCanceled, Error: server.CancelReasonDrain})
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer draining.Close()
-	var served atomic.Int64
-	_, survivor := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		served.Add(1)
-		return syntheticResult(spec), nil
-	})
-
-	p := NewPool([]string{draining.URL, survivor.URL}, PoolOptions{
-		Client:       fastRetry(),
-		CooldownBase: 50 * time.Millisecond,
-	})
-	res, err := p.Run(context.Background(), JobSpec{Workload: "lu", Protocol: "arc", Cores: 2})
-	if err != nil {
-		t.Fatalf("run across a draining daemon: %v", err)
-	}
-	if res.Workload != "lu" || served.Load() != 1 {
-		t.Fatalf("survivor served %d runs, result %+v", served.Load(), res)
-	}
-	if p.Healthy() != 1 {
-		t.Fatalf("healthy = %d, want 1 (the drainer benched)", p.Healthy())
-	}
-}
-
 // TestBatchThroughClient exercises the typed batch API end to end.
 func TestBatchThroughClient(t *testing.T) {
 	_, ts := newDaemon(t, instantRun)
@@ -689,50 +360,6 @@ func TestBatchThroughClient(t *testing.T) {
 		if _, err := c.Result(context.Background(), final.ID); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestPoolPreemptCancelFailsOver: a job canceled with the scheduler's
-// preempt reason is requeue-safe — the pool reruns it on a survivor
-// instead of surfacing ErrJobCanceled.
-func TestPoolPreemptCancelFailsOver(t *testing.T) {
-	var mu sync.Mutex
-	var submitted JobSpec
-	preempter := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			var spec JobSpec
-			json.NewDecoder(r.Body).Decode(&spec) //nolint:errcheck
-			mu.Lock()
-			submitted = spec
-			mu.Unlock()
-			writeJSONStatus(w, http.StatusAccepted, JobView{ID: "j000001", Spec: spec, State: server.StateQueued})
-		case r.URL.Path == "/v1/jobs/j000001/events":
-			mu.Lock()
-			spec := submitted
-			mu.Unlock()
-			sseDone(w, JobView{ID: "j000001", Spec: spec, State: server.StateCanceled, Error: server.CancelReasonPreempt})
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer preempter.Close()
-	var served atomic.Int64
-	_, survivor := newDaemon(t, func(ctx context.Context, spec JobSpec) (*sim.Result, error) {
-		served.Add(1)
-		return syntheticResult(spec), nil
-	})
-
-	p := NewPool([]string{preempter.URL, survivor.URL}, PoolOptions{
-		Client:       fastRetry(),
-		CooldownBase: 50 * time.Millisecond,
-	})
-	res, err := p.Run(context.Background(), JobSpec{Workload: "lu", Protocol: "arc", Cores: 2})
-	if err != nil {
-		t.Fatalf("run across a preempting daemon: %v", err)
-	}
-	if res.Workload != "lu" || served.Load() != 1 {
-		t.Fatalf("survivor served %d runs, result %+v", served.Load(), res)
 	}
 }
 

@@ -15,11 +15,12 @@
 // million-key store does not fully replicate onto every daemon.
 //
 // Failure semantics: peers are benched on the same exponential
-// cooldown client.Pool uses for job endpoints; a mesh with every peer
-// benched short-circuits to a pure-local miss without touching the
-// network, so a dead fleet adds zero latency to the hot path. A
-// fetch that fails verification is rejected without touching disk —
-// the fallback is always "simulate locally", never "trust the bytes".
+// cooldown the scheduler uses for job endpoints (backoff.Cooldown); a
+// mesh with every peer benched short-circuits to a pure-local miss
+// without touching the network, so a dead fleet adds zero latency to
+// the hot path. A fetch that fails verification is rejected without
+// touching disk — the fallback is always "simulate locally", never
+// "trust the bytes".
 package mesh
 
 import (
@@ -34,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"arcsim/internal/backoff"
 	"arcsim/internal/sim"
 	"arcsim/internal/store"
 )
@@ -42,11 +44,6 @@ import (
 // compressed; anything near this limit is a misbehaving peer, not a
 // result.
 const maxBlobBytes = 64 << 20
-
-// maxCooldownShift mirrors client.Pool: it bounds the backoff exponent
-// so the shift arithmetic stays well-defined however long a peer is
-// down.
-const maxCooldownShift = 16
 
 // Config wires a Mesh.
 type Config struct {
@@ -79,49 +76,39 @@ type Config struct {
 	Logf func(string, ...any)
 }
 
-// peer is one fleet member plus its health record — the same benching
-// state machine as client.Pool's endpoint, reimplemented here because
-// importing internal/client would cycle (client → server → mesh).
+// peer is one fleet member plus its health record.
 type peer struct {
 	base string // normalized base URL, e.g. http://host:9090
 	node string // rendezvous node id, e.g. host:9090
 
-	mu        sync.Mutex
-	fails     int
-	downUntil time.Time
+	mu   sync.Mutex
+	cool backoff.Cooldown
 }
 
 func (p *peer) healthy(now time.Time) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return !now.Before(p.downUntil)
+	return p.cool.Ready(now)
 }
 
 func (p *peer) markUp() {
 	p.mu.Lock()
-	p.fails, p.downUntil = 0, time.Time{}
+	p.cool.Reset()
 	p.mu.Unlock()
 }
 
 func (p *peer) markDown(now time.Time, base, max time.Duration) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fails < maxCooldownShift+1 {
-		p.fails++
-	}
-	cool := max
-	if shift := uint(p.fails - 1); shift < maxCooldownShift && base <= max>>shift {
-		cool = base << shift
-	}
-	p.downUntil = now.Add(cool)
+	p.cool.Fail(now, base, max)
+	p.mu.Unlock()
 }
 
 func (p *peer) snapshot(now time.Time) PeerStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := PeerStatus{Addr: p.base, Node: p.node, Healthy: !now.Before(p.downUntil), Fails: p.fails}
+	st := PeerStatus{Addr: p.base, Node: p.node, Healthy: p.cool.Ready(now), Fails: p.cool.Fails}
 	if !st.Healthy {
-		st.CooldownLeft = p.downUntil.Sub(now).Round(time.Millisecond).String()
+		st.CooldownLeft = p.cool.Until.Sub(now).Round(time.Millisecond).String()
 	}
 	return st
 }

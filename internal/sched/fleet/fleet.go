@@ -2,15 +2,16 @@
 // it executes sched.Core directives against real arcsimd daemons through
 // internal/client, scrapes per-endpoint load from /metrics, and feeds
 // every observation (submissions, completions, faults, probe samples,
-// cancel confirmations) back into the Core.
+// cancel confirmations) back into the Core. It is the one way
+// cmd/experiments -remote dispatches.
 //
 // The division of labor mirrors internal/sched's package comment: the
-// Core decides, fleet does. Where client.Pool picks an endpoint per job
-// and babysits it, fleet keeps a whole sweep's worth of jobs in flight
-// across the fleet at once, pipelines work onto each daemon's queue, and
-// executes the Core's steal/preempt cancels with the requeue-safe
-// ?reason=preempt cancel the daemon recognizes — preserving the PR-4
-// exactly-once and cancel-reason guarantees end to end.
+// Core decides, fleet does. fleet keeps a whole sweep's worth of jobs in
+// flight across the fleet at once, pipelines work onto each daemon's
+// queue, fails a job over when its daemon faults, and executes the
+// Core's steal/preempt cancels with the requeue-safe ?reason=preempt
+// cancel the daemon recognizes — every job completes exactly once, and
+// an operator's cancel stays final.
 package fleet
 
 import (
@@ -30,6 +31,32 @@ import (
 	"arcsim/internal/server"
 	"arcsim/internal/sim"
 )
+
+// ErrNoEndpoints reports that the fleet cannot run a job: every
+// endpoint is benched, or the job exhausted its endpoint-fault budget.
+// Callers with a local engine treat it as the signal to fall back to
+// in-process execution.
+var ErrNoEndpoints = errors.New("fleet: no healthy endpoints")
+
+// ErrJobCanceled reports a job an operator canceled (arcsimctl cancel)
+// on a healthy daemon. The scheduler honors the cancellation: the
+// endpoint is not benched (it did nothing wrong) and the job is not
+// resubmitted elsewhere (that would resurrect what the operator
+// killed). Distinct from a drain-time cancellation, which is an
+// endpoint fault and does fail over.
+var ErrJobCanceled = errors.New("fleet: job canceled")
+
+// JobFailedError reports a job that a daemon ran to completion and which
+// failed deterministically (a simulation error, not an endpoint fault).
+// The scheduler does not fail over on it: the run would fail identically
+// everywhere.
+type JobFailedError struct {
+	View client.JobView
+}
+
+func (e *JobFailedError) Error() string {
+	return fmt.Sprintf("job %s %s: %s", e.View.ID, e.View.State, e.View.Error)
+}
 
 // ParseLoad extracts a sched.Load from /metrics text. It requires the
 // gauges the scheduler plans on — arcsimd_workers, arcsimd_queue_depth,
@@ -195,19 +222,26 @@ func (s *Scheduler) Stop() {
 // round-robin while load observations are missing/stale/forced).
 func (s *Scheduler) Mode() sched.Mode { return s.core.Mode() }
 
-// PeerHolds reports whether any fleet endpoint's store already holds
-// the canonical cache key (one HEAD per endpoint, in parallel, first
-// hit wins). The cost model prices such a job near zero — on a peered
-// fleet it costs one mesh blob fetch wherever it lands, not a
-// simulation. Unreachable endpoints simply read as "no".
+// PeerHolds reports whether any healthy fleet endpoint's store already
+// holds the canonical cache key (one HEAD per endpoint, in parallel,
+// first hit wins). The cost model prices such a job near zero — on a
+// peered fleet it costs one mesh blob fetch wherever it lands, not a
+// simulation. Benched endpoints are skipped, so a hung daemon cannot
+// stall every run's pricing; unreachable ones simply read as "no".
 func (s *Scheduler) PeerHolds(ctx context.Context, key string) bool {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	hits := make(chan bool, len(s.clients))
-	for _, c := range s.clients {
+	var healthy []*client.Client
+	for _, e := range s.core.Snapshot().Endpoints {
+		if e.Healthy {
+			healthy = append(healthy, s.clients[e.Name])
+		}
+	}
+	hits := make(chan bool, len(healthy))
+	for _, c := range healthy {
 		go func(c *client.Client) { hits <- c.StoreHead(ctx, key) }(c)
 	}
-	for range s.clients {
+	for range healthy {
 		if <-hits {
 			return true // cancel() reels in the stragglers
 		}
@@ -328,9 +362,9 @@ func (s *Scheduler) deliver(id int64, out outcome) {
 	}
 }
 
-// failPendingIfDead mirrors client.Pool's ErrNoEndpoints contract: when
-// every endpoint is benched, pending jobs fail fast so callers can fall
-// back to local execution instead of waiting out cooldowns.
+// failPendingIfDead keeps the ErrNoEndpoints contract: when every
+// endpoint is benched, pending jobs fail fast so callers can fall back
+// to local execution instead of waiting out cooldowns.
 func (s *Scheduler) failPendingIfDead() {
 	snap := s.core.Snapshot()
 	if snap.Pending == 0 {
@@ -342,19 +376,23 @@ func (s *Scheduler) failPendingIfDead() {
 		}
 	}
 	for _, job := range s.core.FailPending() {
-		s.mu.Lock()
-		w := s.waiters[job.ID]
-		var lastErr error
-		if w != nil {
-			lastErr = w.lastErr
-		}
-		s.mu.Unlock()
-		if lastErr != nil {
-			s.deliver(job.ID, outcome{err: fmt.Errorf("%w (last: %v)", client.ErrNoEndpoints, lastErr)})
-		} else {
-			s.deliver(job.ID, outcome{err: client.ErrNoEndpoints})
-		}
+		s.deliver(job.ID, outcome{err: s.unavailable(job.ID, ErrNoEndpoints)})
 	}
+}
+
+// unavailable returns err, which wraps ErrNoEndpoints, with the job's
+// most recent endpoint fault appended as context.
+func (s *Scheduler) unavailable(id int64, err error) error {
+	s.mu.Lock()
+	var lastErr error
+	if w := s.waiters[id]; w != nil {
+		lastErr = w.lastErr
+	}
+	s.mu.Unlock()
+	if lastErr != nil {
+		return fmt.Errorf("%w (last: %v)", err, lastErr)
+	}
+	return err
 }
 
 // execute carries out the Core's directives. Start directives run their
@@ -369,18 +407,10 @@ func (s *Scheduler) execute(dirs []sched.Directive) {
 		case sched.DirCancel:
 			s.requestCancel(d.Endpoint, d.Job.ID)
 		case sched.DirFail:
-			s.mu.Lock()
-			w := s.waiters[d.Job.ID]
-			var lastErr error
-			if w != nil {
-				lastErr = w.lastErr
-			}
-			s.mu.Unlock()
-			err := fmt.Errorf("sched: job %s exhausted its endpoint-fault budget", d.Job.Label)
-			if lastErr != nil {
-				err = fmt.Errorf("%v (last: %w)", err, lastErr)
-			}
-			s.deliver(d.Job.ID, outcome{err: err})
+			// The fleet kept faulting under the job; the caller can
+			// still run it locally, exactly as when all are benched.
+			err := fmt.Errorf("%w: job %s exhausted its endpoint-fault budget", ErrNoEndpoints, d.Job.Label)
+			s.deliver(d.Job.ID, outcome{err: s.unavailable(d.Job.ID, err)})
 		}
 	}
 }
@@ -427,10 +457,8 @@ func (s *Scheduler) cancelRemote(ep string, id int64, remote string) {
 }
 
 // dispatch owns one (job, endpoint) attempt end to end: submit, follow,
-// classify the terminal state, and feed the Core. Its classification
-// mirrors client.Pool.runOn exactly — same taxonomy, same failover
-// semantics — with outcomes routed through the Core instead of a retry
-// loop.
+// classify the terminal state (DESIGN.md's failure taxonomy), and feed
+// the Core, which decides where a failed-over job goes next.
 func (s *Scheduler) dispatch(ep string, id int64) {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -477,7 +505,10 @@ func (s *Scheduler) dispatch(ep string, id int64) {
 		return
 	}
 	if final.Spec != view.Spec {
-		// The id came back naming someone else's job (see Pool.runOn).
+		// Job ids embed a per-lifetime epoch so a restarted daemon 404s
+		// stale ids, but if an id ever does name someone else's job, the
+		// submit-time spec catches it here, before the foreign result is
+		// fetched into the sweep. Resubmit the spec we actually want.
 		s.execute(s.core.Lost(ep, id))
 		s.failPendingIfDead()
 		return
@@ -490,12 +521,14 @@ func (s *Scheduler) dispatch(ep string, id int64) {
 			s.fault(ep, id, w, fmt.Errorf("result from %s: %w", ep, err))
 			return
 		}
-		s.deliver(id, outcome{res: res})
+		// The Core settles each terminal job before its owner hears, so
+		// a Run that has returned no longer counts in a Snapshot.
 		s.execute(s.core.Done(ep, id))
+		s.deliver(id, outcome{res: res})
 	case server.StateFailed:
 		// Deterministic failure: identical everywhere, no failover.
-		s.deliver(id, outcome{err: &client.JobFailedError{View: final}})
 		s.execute(s.core.Final(id))
+		s.deliver(id, outcome{err: &JobFailedError{View: final}})
 	case server.StateCanceled:
 		switch final.Error {
 		case server.CancelReasonDrain:
@@ -507,9 +540,9 @@ func (s *Scheduler) dispatch(ep string, id int64) {
 			s.execute(s.core.Canceled(ep, id))
 		default:
 			// Operator cancel: honored, never resurrected.
-			s.deliver(id, outcome{err: fmt.Errorf("%w: job %s on %s: %s",
-				client.ErrJobCanceled, final.ID, ep, final.Error)})
 			s.execute(s.core.Final(id))
+			s.deliver(id, outcome{err: fmt.Errorf("%w: job %s on %s: %s",
+				ErrJobCanceled, final.ID, ep, final.Error)})
 		}
 	default:
 		s.fault(ep, id, w, fmt.Errorf("job %s ended %s on %s: %s", final.ID, final.State, ep, final.Error))

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,9 +339,8 @@ func TestStaleProbesDegrade(t *testing.T) {
 }
 
 // TestAllEndpointsDownFailsFast: with every endpoint refusing
-// connections, Run returns client.ErrNoEndpoints instead of blocking —
-// the caller's cue to fall back to local execution (same contract as
-// client.Pool).
+// connections, Run returns ErrNoEndpoints instead of blocking — the
+// caller's cue to fall back to local execution.
 func TestAllEndpointsDownFailsFast(t *testing.T) {
 	dead1 := httptest.NewServer(http.NotFoundHandler())
 	dead2 := httptest.NewServer(http.NotFoundHandler())
@@ -357,14 +358,13 @@ func TestAllEndpointsDownFailsFast(t *testing.T) {
 	runCtx, runCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer runCancel()
 	_, err := s.Run(runCtx, client.JobSpec{Workload: "doomed", Protocol: "arc", Cores: 1}, 10, 0)
-	if !errors.Is(err, client.ErrNoEndpoints) {
+	if !errors.Is(err, ErrNoEndpoints) {
 		t.Fatalf("Run with all endpoints down = %v, want ErrNoEndpoints", err)
 	}
 }
 
 // TestOperatorCancelIsFinal: an operator cancel (no recognized requeue
-// reason) surfaces as client.ErrJobCanceled and is not resurrected —
-// the PR-4 taxonomy preserved through the scheduler.
+// reason) surfaces as ErrJobCanceled and is not resurrected.
 func TestOperatorCancelIsFinal(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
@@ -419,7 +419,7 @@ func TestOperatorCancelIsFinal(t *testing.T) {
 
 	select {
 	case err := <-errCh:
-		if !errors.Is(err, client.ErrJobCanceled) {
+		if !errors.Is(err, ErrJobCanceled) {
 			t.Fatalf("Run after operator cancel = %v, want ErrJobCanceled", err)
 		}
 	case <-time.After(10 * time.Second):
@@ -450,15 +450,31 @@ func cancelAllJobs(c *client.Client) error {
 }
 
 // TestFleetFailover: a daemon that dies mid-sweep loses its jobs to the
-// survivor; every job still completes exactly once with the canonical
-// result.
+// survivor; every job still completes exactly once across the fleet
+// with the canonical result.
 func TestFleetFailover(t *testing.T) {
+	var mu sync.Mutex
+	completed := map[client.JobSpec]int{}
+	counted := func(run func(context.Context, server.JobSpec) (*sim.Result, error)) func(context.Context, server.JobSpec) (*sim.Result, error) {
+		return func(ctx context.Context, spec server.JobSpec) (*sim.Result, error) {
+			res, err := run(ctx, spec)
+			if err == nil {
+				// Keyed as sweepSpec builds it: the daemon fills in
+				// scale and seed defaults before the stub sees the spec.
+				mu.Lock()
+				completed[client.JobSpec{Workload: spec.Workload, Protocol: spec.Protocol, Cores: spec.Cores}]++
+				mu.Unlock()
+			}
+			return res, err
+		}
+	}
+
 	var down atomic.Bool
 	var killOnce sync.Once
 	kill := make(chan struct{})
 	release := make(chan struct{})
 	flakySrv := server.New(server.Config{Workers: 2, QueueDepth: 64})
-	flakySrv.SetRunJob(func(ctx context.Context, spec server.JobSpec) (*sim.Result, error) {
+	flakySrv.SetRunJob(counted(func(ctx context.Context, spec server.JobSpec) (*sim.Result, error) {
 		// The first job this daemon runs triggers its death; the job
 		// itself parks until test cleanup (a crashed daemon never
 		// reports back).
@@ -469,7 +485,7 @@ func TestFleetFailover(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	})
+	}))
 	flakySrv.Start()
 	// The crash is modeled at the HTTP layer: once down, every request —
 	// including SSE reconnects — is refused, exactly like a dead daemon
@@ -492,7 +508,7 @@ func TestFleetFailover(t *testing.T) {
 		flakySrv.Drain(dctx) //nolint:errcheck
 	})
 
-	healthy := newDaemon(t, 2, instantRun, nil)
+	healthy := newDaemon(t, 2, counted(instantRun), nil)
 
 	opts := testOptions()
 	opts.Logf = t.Logf
@@ -508,14 +524,270 @@ func TestFleetFailover(t *testing.T) {
 		flaky.CloseClientConnections()
 	}()
 
-	results, errs := runSweep(t, s, 8)
+	const n = 8
+	results, errs := runSweep(t, s, n)
+	mu.Lock()
+	defer mu.Unlock()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("job %d after failover: %v", i, err)
 		}
-		if results[i] == nil {
-			t.Fatalf("job %d: nil result", i)
+		spec := sweepSpec(i)
+		if results[i] == nil || results[i].Cycles != syntheticResult(spec).Cycles {
+			t.Fatalf("job %d: result %+v", i, results[i])
 		}
+		if got := completed[spec]; got != 1 {
+			t.Errorf("spec %+v completed %d times across the fleet, want exactly 1", spec, got)
+		}
+	}
+	if len(completed) != n {
+		t.Errorf("%d distinct specs completed, want %d", len(completed), n)
+	}
+}
+
+// --- the failure taxonomy, outcome by outcome ------------------------
+
+// tally counts what a taxonomy fleet did: simulations run by real
+// daemons, submits accepted by scripted ones, and results a scripted
+// daemon served for a job other than the one submitted.
+type tally struct {
+	runs, submits, foreignFetches atomic.Int64
+}
+
+// scriptedDaemon accepts every submit under a sequential id and answers
+// the job's event stream with the terminal view final returns for it.
+// Its result endpoint serves the view's spec and counts a foreign fetch
+// when that is not the spec the caller submitted.
+func scriptedDaemon(t *testing.T, n *tally, final func(seq int64, spec client.JobSpec) client.JobView) string {
+	var mu sync.Mutex
+	submitted := map[string]client.JobSpec{}
+	views := map[string]client.JobView{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			var spec client.JobSpec
+			json.NewDecoder(r.Body).Decode(&spec) //nolint:errcheck
+			seq := n.submits.Add(1)
+			view := final(seq, spec)
+			view.ID = fmt.Sprintf("j%06d", seq)
+			mu.Lock()
+			submitted[view.ID], views[view.ID] = spec, view
+			mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(client.JobView{ID: view.ID, Spec: spec, State: server.StateQueued}) //nolint:errcheck
+			return
+		}
+		id, tail, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
+		mu.Lock()
+		view, ok := views[id]
+		foreign := view.Spec != submitted[id]
+		mu.Unlock()
+		switch {
+		case !ok:
+			http.NotFound(w, r)
+		case tail == "events":
+			data, _ := json.Marshal(view)
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprintf(w, "id: 0\nevent: done\ndata: %s\n\n", data)
+		case tail == "result":
+			if foreign {
+				n.foreignFetches.Add(1)
+			}
+			json.NewEncoder(w).Encode(syntheticResult(view.Spec)) //nolint:errcheck
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// canceledBy scripts a daemon that cancels every job with reason.
+func canceledBy(reason string) func(int64, client.JobSpec) client.JobView {
+	return func(_ int64, spec client.JobSpec) client.JobView {
+		return client.JobView{Spec: spec, State: server.StateCanceled, Error: reason}
+	}
+}
+
+// TestFailureTaxonomy pins what each way a remote run can end costs: a
+// deterministic failure is final and benches no one; an id that comes
+// back naming another job is resubmitted without fetching the foreign
+// result; a drain fails the job over and benches the drainer; a
+// preempt cancel requeues it elsewhere; and a job whose every endpoint
+// faults ends in ErrNoEndpoints, the caller's cue to run it locally.
+// (All endpoints down, operator cancels and daemon death have their own
+// tests above.)
+func TestFailureTaxonomy(t *testing.T) {
+	mine := client.JobSpec{Workload: "lu", Protocol: "arc", Cores: 2}
+	foreign := client.JobSpec{Workload: "radix", Protocol: "ce", Cores: 8}
+	simulating := func(t *testing.T, n *tally, err error) string {
+		return newDaemon(t, 2, func(ctx context.Context, spec server.JobSpec) (*sim.Result, error) {
+			n.runs.Add(1)
+			if err != nil {
+				return nil, err
+			}
+			return syntheticResult(spec), nil
+		}, nil).URL
+	}
+	jobFailed := func(err error) bool {
+		var jf *JobFailedError
+		return errors.As(err, &jf)
+	}
+	noEndpoints := func(err error) bool { return errors.Is(err, ErrNoEndpoints) }
+
+	cases := []struct {
+		name string
+		// fleet builds the endpoints in round-robin order: the job's
+		// first attempt lands on the first one.
+		fleet func(t *testing.T, n *tally) []string
+		// wantErr classifies the expected error; nil expects success.
+		wantErr           func(error) bool
+		wantRuns, wantSub int64
+		wantHealthy       []bool
+	}{
+		{
+			name: "deterministic failure is final",
+			fleet: func(t *testing.T, n *tally) []string {
+				bad := errors.New("deadlock detected")
+				return []string{simulating(t, n, bad), simulating(t, n, bad)}
+			},
+			wantErr:     jobFailed,
+			wantRuns:    1,
+			wantHealthy: []bool{true, true},
+		},
+		{
+			name: "foreign job behind a reused id is resubmitted",
+			fleet: func(t *testing.T, n *tally) []string {
+				return []string{scriptedDaemon(t, n, func(seq int64, spec client.JobSpec) client.JobView {
+					if seq == 1 {
+						spec = foreign
+					}
+					return client.JobView{Spec: spec, State: server.StateDone}
+				})}
+			},
+			wantSub:     2,
+			wantHealthy: []bool{true},
+		},
+		{
+			name: "drain cancel fails over and benches the drainer",
+			fleet: func(t *testing.T, n *tally) []string {
+				return []string{scriptedDaemon(t, n, canceledBy(server.CancelReasonDrain)), simulating(t, n, nil)}
+			},
+			wantRuns:    1,
+			wantSub:     1,
+			wantHealthy: []bool{false, true},
+		},
+		{
+			name: "preempt cancel requeues elsewhere",
+			fleet: func(t *testing.T, n *tally) []string {
+				return []string{scriptedDaemon(t, n, canceledBy(server.CancelReasonPreempt)), simulating(t, n, nil)}
+			},
+			wantRuns:    1,
+			wantSub:     1,
+			wantHealthy: []bool{true, true},
+		},
+		{
+			name: "exhausted fault budget falls back",
+			fleet: func(t *testing.T, n *tally) []string {
+				return []string{
+					scriptedDaemon(t, n, canceledBy(server.CancelReasonDrain)),
+					scriptedDaemon(t, n, canceledBy(server.CancelReasonDrain)),
+				}
+			},
+			wantErr:     noEndpoints,
+			wantSub:     2,
+			wantHealthy: []bool{false, false},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var n tally
+			opts := testOptions()
+			// Benches outlast the test, so health is read deterministically;
+			// two attempts let one job try both endpoints and no more.
+			opts.Sched.CooldownBase, opts.Sched.CooldownMax = time.Minute, time.Minute
+			opts.Sched.MaxAttempts = 2
+			s := New(tc.fleet(t, &n), opts)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.Start(ctx)
+			defer s.Stop()
+
+			runCtx, runCancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer runCancel()
+			res, err := s.Run(runCtx, mine, 10, 0)
+			switch {
+			case tc.wantErr == nil && err != nil:
+				t.Fatalf("Run: %v", err)
+			case tc.wantErr == nil && (res == nil || res.Workload != mine.Workload || res.Cores != mine.Cores):
+				t.Fatalf("Run returned %+v, want the result for %+v", res, mine)
+			case tc.wantErr != nil && !tc.wantErr(err):
+				t.Fatalf("Run error = %v, of the wrong kind", err)
+			}
+			if got := n.runs.Load(); got != tc.wantRuns {
+				t.Errorf("simulations run = %d, want %d", got, tc.wantRuns)
+			}
+			if got := n.submits.Load(); got != tc.wantSub {
+				t.Errorf("scripted submits = %d, want %d", got, tc.wantSub)
+			}
+			if got := n.foreignFetches.Load(); got != 0 {
+				t.Errorf("fetched %d foreign results", got)
+			}
+			for i, e := range s.Snapshot().Endpoints {
+				if e.Healthy != tc.wantHealthy[i] {
+					t.Errorf("endpoint %d healthy = %v, want %v", i, e.Healthy, tc.wantHealthy[i])
+				}
+			}
+		})
+	}
+}
+
+// TestPeerHoldsSkipsBenchedEndpoints: pricing a run must not wait on a
+// benched daemon. One endpoint fails its submit (and is benched) and
+// hangs every store HEAD; PeerHolds asks only the healthy one.
+func TestPeerHoldsSkipsBenchedEndpoints(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			http.Error(w, "submit refused", http.StatusInternalServerError)
+		case http.MethodHead:
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(func() {
+		close(release)
+		hung.Close()
+	})
+	healthy := newDaemon(t, 2, instantRun, nil)
+
+	opts := testOptions()
+	opts.Sched.CooldownBase, opts.Sched.CooldownMax = time.Minute, time.Minute
+	s := New([]string{hung.URL, healthy.URL}, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	defer s.Stop()
+
+	// The run's first attempt lands on the hung endpoint, faults, and
+	// fails over.
+	if _, err := s.Run(context.Background(), client.JobSpec{Workload: "lu", Protocol: "arc", Cores: 1}, 10, 0); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.Snapshot().Endpoints[0].Healthy {
+		t.Fatal("hung endpoint not benched after its submit failed")
+	}
+	start := time.Now()
+	if s.PeerHolds(context.Background(), "v2/0.25/1/lu/arc/1") {
+		t.Fatal("PeerHolds = true for a key no store holds")
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Fatalf("PeerHolds took %v: it waited on the benched endpoint", took)
 	}
 }
 

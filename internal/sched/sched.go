@@ -1,6 +1,6 @@
 // Package sched is the cost-model scheduler for a fleet of arcsimd
-// daemons. Where client.Pool round-robins jobs and reacts to failures,
-// sched plans: each job carries a predicted cost (internal/static's
+// daemons. Rather than round-robin jobs and react to failures, sched
+// plans: each job carries a predicted cost (internal/static's
 // verdict plus trace event and core counts — see EstimateCost), and the
 // scheduler dispatches longest-job-first onto the least-loaded healthy
 // endpoint, work-steals queued jobs back when an endpoint drains early,
@@ -26,9 +26,9 @@
 // Degraded mode: the cost model runs on observed endpoint state (worker
 // counts, queue depths). When that state is missing or stale — a probe
 // failing, a daemon serving unparseable /metrics — the Core falls back
-// to round-robin dispatch rather than scheduling on fiction; it degrades
-// to exactly the PR-4 Pool policy instead of wedging. DESIGN.md
-// "Cost-model scheduling" documents the full policy.
+// to round-robin dispatch in submission order rather than scheduling on
+// fiction or wedging. DESIGN.md "Cost-model scheduling" documents the
+// full policy.
 package sched
 
 import (
@@ -36,6 +36,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"arcsim/internal/backoff"
 )
 
 // Job is one schedulable unit of work. The scheduler never looks inside
@@ -136,7 +138,7 @@ const (
 	// ModeRoundRobin is the degraded policy used while observed load is
 	// missing or stale (and the forced baseline in experiments): jobs
 	// dispatch in submission order, round-robin across healthy
-	// endpoints, exactly like the PR-4 client.Pool.
+	// endpoints.
 	ModeRoundRobin
 )
 
@@ -164,7 +166,7 @@ type Options struct {
 	// (default 10s; simulation harnesses set it effectively infinite).
 	StaleAfter time.Duration
 	// CooldownBase/CooldownMax shape the exponential bench applied to a
-	// faulting endpoint (defaults 1s/30s, mirroring client.Pool).
+	// faulting endpoint (defaults 1s/30s; see backoff.Cooldown).
 	CooldownBase time.Duration
 	CooldownMax  time.Duration
 	// MaxAttempts is the per-job fault budget: a job requeued by
@@ -224,28 +226,22 @@ type jobState struct {
 	thief *ep
 }
 
-// maxCooldownShift bounds the bench backoff exponent, mirroring
-// client.Pool's policy (an overflowed Duration shift landing in a clamp
-// is not behavior to rely on).
-const maxCooldownShift = 16
-
 // ep is one endpoint's scheduler-side record.
 type ep struct {
 	name  string
 	index int
 
-	queued    []*jobState // dispatch order
-	running   map[int64]*jobState
-	stealing  map[int64]*jobState
-	fails     int
-	downUntil time.Time
+	queued   []*jobState // dispatch order
+	running  map[int64]*jobState
+	stealing map[int64]*jobState
+	cool     backoff.Cooldown
 
 	load    Load
 	loadAt  time.Time
 	hasLoad bool
 }
 
-func (e *ep) healthy(now time.Time) bool { return !now.Before(e.downUntil) }
+func (e *ep) healthy(now time.Time) bool { return e.cool.Ready(now) }
 
 // slots is the endpoint's believed worker-pool size.
 func (e *ep) slots(opts Options) int {
@@ -391,7 +387,7 @@ func (c *Core) Done(endpoint string, id int64) []Directive {
 	c.detachLocked(js)
 	delete(c.jobs, id)
 	c.done[id] = true
-	e.fails, e.downUntil = 0, time.Time{}
+	e.cool.Reset()
 	return c.planLocked()
 }
 
@@ -421,15 +417,7 @@ func (c *Core) Fault(endpoint string, id int64) []Directive {
 	if e == nil {
 		return nil
 	}
-	now := c.opts.Now()
-	if e.fails < maxCooldownShift+1 {
-		e.fails++
-	}
-	cool := c.opts.CooldownMax
-	if shift := uint(e.fails - 1); shift < maxCooldownShift && c.opts.CooldownBase <= c.opts.CooldownMax>>shift {
-		cool = c.opts.CooldownBase << shift
-	}
-	e.downUntil = now.Add(cool)
+	e.cool.Fail(c.opts.Now(), c.opts.CooldownBase, c.opts.CooldownMax)
 	return c.requeueLocked(e, id, true)
 }
 
@@ -549,8 +537,8 @@ func (c *Core) Tick() []Directive {
 }
 
 // FailPending removes and returns every pending job: the driver calls it
-// when the whole fleet is benched and the owner should fall back (the
-// client.Pool ErrNoEndpoints analogue). In-flight jobs are untouched.
+// when the whole fleet is benched and the owner should fall back to
+// local execution. In-flight jobs are untouched.
 func (c *Core) FailPending() []*Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -693,7 +681,7 @@ func (c *Core) planLocked() []Directive {
 }
 
 // assignRoundRobinLocked is the degraded policy: submission order,
-// next endpoint with room, exactly the PR-4 Pool's dispatch shape.
+// next endpoint with room.
 func (c *Core) assignRoundRobinLocked(healthy []*ep) []Directive {
 	var dirs []Directive
 	for len(c.pending) > 0 {
