@@ -61,14 +61,15 @@ lint:
 	else echo "lint: govulncheck not installed, skipping (CI runs it pinned)"; fi
 
 # Race-enabled pass over the concurrent subset: the parallel experiment
-# harness (worker pool + singleflight memo), the engine it drives (now
-# phase-parallel), the trace/workload layers it fans goroutines over,
-# the differential conformance checker, the daemon's service + store
-# layers and the peer mesh federating them, the job-API client, and the
-# cost-model scheduler that fans sweeps across daemons (core state
-# machine, fleet driver, sim harness).
+# harness (worker pool + singleflight memo), the machine pool its
+# workers share (and a daemon's workers share across seeds), the engine
+# it drives (now phase-parallel), the trace/workload layers it fans
+# goroutines over, the differential conformance checker, the daemon's
+# service + store layers and the peer mesh federating them, the job-API
+# client, and the cost-model scheduler that fans sweeps across daemons
+# (core state machine, fleet driver, sim harness).
 race:
-	$(GO) test -race -short ./internal/bench/ ./internal/sim/ ./internal/conformance/ \
+	$(GO) test -race -short ./internal/bench/ ./internal/protocols/ ./internal/sim/ ./internal/conformance/ \
 		./internal/server/ ./internal/store/ ./internal/mesh/ ./internal/client/ ./internal/static/ \
 		./internal/trace/ ./internal/workload/ \
 		./internal/sched/ ./internal/sched/fleet/ ./internal/sched/simtest/

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"arcsim/internal/static"
-	"arcsim/internal/trace"
 	"arcsim/internal/workload"
 )
 
@@ -143,24 +142,14 @@ func predictedConflict(c static.PredictedConflict) PredictedConflict {
 }
 
 // WorkloadTrace builds the trace Run would simulate under cfg —
-// cfg.Workload (including the "falseshare"/"aimstress" stress kernels),
-// sized by Cores, Scale, and Seed — without running it, e.g. to feed
-// Trace.Analyze or Trace.Encode.
+// cfg.Workload (including the kernels outside the catalog that Run
+// names), sized by Cores, Scale, and Seed — without running it, e.g. to
+// feed Trace.Analyze or Trace.Encode.
 func WorkloadTrace(cfg Config) (*Trace, error) {
 	cfg = cfg.normalized()
-	params := workload.Params{Threads: cfg.Cores, Seed: cfg.Seed, Scale: cfg.Scale}
-	var tr *trace.Trace
-	switch cfg.Workload {
-	case "falseshare":
-		tr = workload.FalseSharing(params)
-	case "aimstress":
-		tr = workload.AIMStress(params)
-	default:
-		spec, ok := workload.ByName(cfg.Workload)
-		if !ok {
-			return nil, fmt.Errorf("arcsim: unknown workload %q (see Workloads())", cfg.Workload)
-		}
-		tr = spec.Build(params)
+	gen, ok := workload.Generator(cfg.Workload)
+	if !ok {
+		return nil, fmt.Errorf("arcsim: unknown workload %q (see Workloads())", cfg.Workload)
 	}
-	return &Trace{inner: tr}, nil
+	return &Trace{inner: gen(workload.Params{Threads: cfg.Cores, Seed: cfg.Seed, Scale: cfg.Scale})}, nil
 }

@@ -65,3 +65,13 @@ func TestWorkloadTraceUnknown(t *testing.T) {
 		t.Fatal("unknown workload accepted")
 	}
 }
+
+// TestWorkloadTraceKernels: the facade resolves every kernel outside the
+// catalog that the experiments and the daemon accept.
+func TestWorkloadTraceKernels(t *testing.T) {
+	for _, name := range []string{"falseshare", "aimstress", "phasedisjoint"} {
+		if _, err := arcsim.WorkloadTrace(arcsim.Config{Workload: name, Cores: 4, Scale: 0.02}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -119,9 +119,10 @@ func Workloads() []WorkloadInfo {
 }
 
 // Run simulates the named catalog workload under cfg. Besides the
-// catalog (see Workloads), two stress kernels are available by name:
-// "falseshare" (byte-level false sharing; DRF at byte granularity) and
-// "aimstress" (metadata-table pressure for AIM sizing).
+// catalog (see Workloads), three kernels are available by name:
+// "falseshare" (byte-level false sharing; DRF at byte granularity),
+// "aimstress" (metadata-table pressure for AIM sizing) and
+// "phasedisjoint" (barrier phases with disjoint footprints).
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.normalized()
 	if len(cfg.MachineJSON) > 0 {

@@ -156,67 +156,56 @@ func (s RunSpec) key() runKey {
 	return runKey{s.Workload, s.Proto, s.Cores, s.AIMEntries, s.Oracle}
 }
 
-// memoEntry is the singleflight slot for one runKey: the first caller
-// installs the entry and executes the simulation; concurrent callers for
-// the same key block on done instead of duplicating the run.
-type memoEntry struct {
-	done chan struct{} // closed once res/err are final
-	res  *sim.Result
-	err  error
-}
-
-// anKey/anEntry are the analysis memo's singleflight analogues of
-// runKey/memoEntry.
-type anKey struct {
+// traceKey is a trace identity under one runner: scale and seed are
+// fixed by the config, so (workload, cores) names one trace, and keys
+// the trace, analysis and witness memos.
+type traceKey struct {
 	workload string
 	cores    int
 }
 
-type anEntry struct {
-	done chan struct{}
-	an   *static.Analysis
+// memo is a singleflight cache: the first caller of a key computes its
+// value, and concurrent callers of the same key wait for that flight
+// instead of repeating it. A flight that ends in sim.ErrCanceled proves
+// nothing about its key, so it is not kept: the callers already waiting
+// share its error, and the next caller computes afresh. The zero memo is
+// ready to use.
+type memo[K comparable, V any] struct {
+	mu      sync.Mutex
+	flights map[K]*flight[V]
+}
+
+type flight[V any] struct {
+	done chan struct{} // closed once val and err are final
+	val  V
 	err  error
 }
 
-// wtEntry is the witness memo's singleflight slot: one entry per trace
-// identity, like anEntry.
-type wtEntry struct {
-	done chan struct{}
-	rep  *witness.Report
-	err  error
-}
+func (c *memo[K, V]) do(key K, compute func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		<-f.done // completed or in flight: wait, never recompute
+		return f.val, f.err
+	}
+	if c.flights == nil {
+		c.flights = make(map[K]*flight[V])
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	c.flights[key] = f
+	c.mu.Unlock()
 
-// trEntry is the trace memo's singleflight slot: one trace identity
-// under a runner is (workload, cores) — scale and seed are fixed by the
-// config — and generation is deterministic, so every run and analysis of
-// that identity shares one immutable build instead of regenerating it.
-type trEntry struct {
-	done chan struct{}
-	tr   *trace.Trace
-	err  error
+	f.val, f.err = compute()
+	if errors.Is(f.err, sim.ErrCanceled) {
+		c.mu.Lock()
+		if c.flights[key] == f {
+			delete(c.flights, key)
+		}
+		c.mu.Unlock()
+	}
+	close(f.done)
+	return f.val, f.err
 }
-
-// poolKey identifies interchangeable machine+protocol builds: everything
-// that flows into protocols.Build for a run except the workload.
-type poolKey struct {
-	proto string
-	cores int
-	aim   int
-}
-
-// pooledPair is one reusable simulation substrate. Pairs are recycled
-// through Runner.acquire/release: Machine.Reset plus the protocol's
-// Reset restore the freshly-built state (byte-identical results — see
-// TestPooledRunsMatchFresh) while keeping the multi-megabyte cache-line
-// arrays and metadata tables allocated.
-type pooledPair struct {
-	m *machine.Machine
-	p machine.Protocol
-}
-
-// resettable is the protocol-side pooling contract; pairs whose protocol
-// does not implement it are never pooled.
-type resettable interface{ Reset() }
 
 // Timing summarizes the simulations a Runner actually executed
 // (memo and singleflight hits excluded).
@@ -256,37 +245,24 @@ type Timing struct {
 // Runner executes and memoizes simulation runs; experiments that share
 // configurations (F1/F3/F4/F5 all reuse the 32-core suite runs) pay for
 // them once. It is safe for concurrent use: a per-key singleflight
-// (mutex + in-flight map) guarantees each (workload, proto, cores, aim,
-// oracle) configuration runs at most once no matter how many experiments
-// race to request it.
+// guarantees each (workload, proto, cores, aim, oracle) configuration
+// runs at most once no matter how many experiments race to request it.
 type Runner struct {
 	cfg Config
 
-	mu   sync.Mutex
-	memo map[runKey]*memoEntry
+	runs memo[runKey, *sim.Result]
+	// traces, analyses and witnesses memoize per trace identity the
+	// workload traces (shared by execution and analysis; immutable once
+	// built), the static analyses the tier consults, and the witness
+	// examinations, which cost simulations (see WitnessReport).
+	traces    memo[traceKey, *trace.Trace]
+	analyses  memo[traceKey, *static.Analysis]
+	witnesses memo[traceKey, *witness.Report]
 
-	// anMu/anMemo singleflight the static analyses the tier consults; a
-	// trace identity under this runner is (workload, cores) — scale and
-	// seed are fixed by the config.
-	anMu   sync.Mutex
-	anMemo map[anKey]*anEntry
-
-	// trMu/trMemo singleflight workload trace generation (shared by
-	// execution and analysis; traces are immutable once built).
-	trMu   sync.Mutex
-	trMemo map[anKey]*trEntry
-
-	// wtMu/wtMemo singleflight witness examinations (classification of
-	// every predicted conflict — see WitnessReport). Examinations cost
-	// simulations, so at most one runs per trace identity.
-	wtMu   sync.Mutex
-	wtMemo map[anKey]*wtEntry
-
-	// poolMu/pool recycle machine+protocol pairs across runs that share
-	// a poolKey, so a sweep pays the ~tens-of-MB machine build once per
-	// configuration instead of once per run.
-	poolMu sync.Mutex
-	pool   map[poolKey][]pooledPair
+	// pool recycles machine+protocol pairs across runs, so a sweep pays
+	// the ~tens-of-MB machine build once per configuration instead of
+	// once per run. Runners made by Derive share it.
+	pool *protocols.Pool
 
 	// progressMu keeps concurrent runs from interleaving Progress lines.
 	progressMu sync.Mutex
@@ -295,16 +271,20 @@ type Runner struct {
 	timing Timing
 }
 
-// NewRunner builds a runner.
+// NewRunner builds a runner with its own machine pool.
 func NewRunner(cfg Config) *Runner {
-	return &Runner{
-		cfg:    cfg.normalized(),
-		memo:   make(map[runKey]*memoEntry),
-		anMemo: make(map[anKey]*anEntry),
-		trMemo: make(map[anKey]*trEntry),
-		wtMemo: make(map[anKey]*wtEntry),
-		pool:   make(map[poolKey][]pooledPair),
-	}
+	return &Runner{cfg: cfg.normalized(), pool: new(protocols.Pool)}
+}
+
+// Derive returns a runner with r's configuration (its Cache, Tier,
+// Progress and the rest) at another scale and seed. It shares r's
+// machine pool and keeps its own memo and timing. A daemon derives one
+// runner per (scale, seed) it serves, so it holds one set of machines
+// however many seeds its jobs name.
+func (r *Runner) Derive(scale float64, seed int64) *Runner {
+	cfg := r.cfg
+	cfg.Scale, cfg.Seed = scale, seed
+	return &Runner{cfg: cfg.normalized(), pool: r.pool}
 }
 
 // Cfg returns the normalized configuration.
@@ -391,48 +371,27 @@ func (r *Runner) parallel(n int, fn func(i int)) {
 
 func (r *Runner) result(ctx context.Context, spec RunSpec) (*sim.Result, error) {
 	key := spec.key()
-	r.mu.Lock()
-	if e, ok := r.memo[key]; ok {
-		r.mu.Unlock()
-		<-e.done // completed or in flight: wait, never re-run
-		return e.res, e.err
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	r.memo[key] = e
-	r.mu.Unlock()
-
-	// Persistent layer first: a result proven in a past process is
-	// served without simulating, flagged so callers can tell.
-	if r.cfg.Cache != nil {
-		if res, ok := r.cfg.Cache.Get(r.cfg.CacheKey(spec)); ok {
-			res.CacheHit = true
+	return r.runs.do(key, func() (*sim.Result, error) {
+		// Persistent layer first: a result proven in a past process is
+		// served without simulating, flagged so callers can tell.
+		if r.cfg.Cache != nil {
+			if res, ok := r.cfg.Cache.Get(r.cfg.CacheKey(spec)); ok {
+				res.CacheHit = true
+				r.statMu.Lock()
+				r.timing.CacheHits++
+				r.statMu.Unlock()
+				return res, nil
+			}
 			r.statMu.Lock()
-			r.timing.CacheHits++
+			r.timing.CacheMisses++
 			r.statMu.Unlock()
-			e.res = res
-			close(e.done)
-			return e.res, e.err
 		}
-		r.statMu.Lock()
-		r.timing.CacheMisses++
-		r.statMu.Unlock()
-	}
-
-	e.res, e.err = r.run(ctx, spec, key)
-	if e.err == nil && r.cfg.Cache != nil {
-		e.err = r.cfg.Cache.Put(r.cfg.CacheKey(spec), e.res)
-	}
-	if e.err != nil && errors.Is(e.err, sim.ErrCanceled) {
-		// A canceled run proves nothing about the configuration: drop
-		// the memo slot so the next request re-executes.
-		r.mu.Lock()
-		if r.memo[key] == e {
-			delete(r.memo, key)
+		res, err := r.run(ctx, spec, key)
+		if err == nil && r.cfg.Cache != nil {
+			err = r.cfg.Cache.Put(r.cfg.CacheKey(spec), res)
 		}
-		r.mu.Unlock()
-	}
-	close(e.done)
-	return e.res, e.err
+		return res, err
+	})
 }
 
 // run dispatches one cache-missed run: remotely through cfg.Exec when
@@ -491,84 +450,17 @@ func (r *Runner) run(ctx context.Context, spec RunSpec, key runKey) (*sim.Result
 	return r.execute(ctx, key)
 }
 
-// buildTrace constructs the named workload's trace: the catalog plus the
-// engine-special kernels experiments request directly.
-func buildTrace(wl string, params workload.Params) (*trace.Trace, error) {
-	switch wl {
-	case "falseshare":
-		// The A3 false-sharing kernel lives outside the catalog (it is
-		// DRF at byte granularity but not a suite member).
-		return workload.FalseSharing(params), nil
-	case "aimstress":
-		// The F6 metadata-pressure kernel, also outside the catalog.
-		return workload.AIMStress(params), nil
-	case "phasedisjoint":
-		// The TIER phase-parallel showcase kernel, also outside the
-		// catalog (its disjoint-footprint shape is engineered for
-		// sim.PlanPhases, not representative of the suite).
-		return workload.PhaseDisjoint(params), nil
-	default:
-		spec, ok := workload.ByName(wl)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown workload %q", wl)
-		}
-		return spec.Build(params), nil
-	}
-}
-
 // trace returns the memoized trace of the named workload at the given
 // core count, generating it on first use. The returned trace is shared
 // and must be treated as immutable (the simulator only reads it).
 func (r *Runner) trace(wl string, cores int) (*trace.Trace, error) {
-	key := anKey{wl, cores}
-	r.trMu.Lock()
-	if e, ok := r.trMemo[key]; ok {
-		r.trMu.Unlock()
-		<-e.done
-		return e.tr, e.err
-	}
-	e := &trEntry{done: make(chan struct{})}
-	r.trMemo[key] = e
-	r.trMu.Unlock()
-
-	e.tr, e.err = buildTrace(wl, workload.Params{Threads: cores, Seed: r.cfg.Seed, Scale: r.cfg.Scale})
-	close(e.done)
-	return e.tr, e.err
-}
-
-// acquire hands out a machine+protocol pair for the given coordinates:
-// from the recycle pool when a compatible pair is idle (reset to the
-// freshly-built state), freshly built otherwise.
-func (r *Runner) acquire(proto string, cores, aimEntries int) (*machine.Machine, machine.Protocol, error) {
-	pk := poolKey{proto, cores, aimEntries}
-	r.poolMu.Lock()
-	if s := r.pool[pk]; len(s) > 0 {
-		pair := s[len(s)-1]
-		r.pool[pk] = s[:len(s)-1]
-		r.poolMu.Unlock()
-		pair.m.Reset()
-		pair.p.(resettable).Reset()
-		return pair.m, pair.p, nil
-	}
-	r.poolMu.Unlock()
-	mcfg := machine.Default(cores)
-	if aimEntries > 0 {
-		mcfg.AIM.Entries = aimEntries
-	}
-	return protocols.Build(proto, mcfg)
-}
-
-// release returns a pair to the recycle pool. Results never alias
-// machine state (sim.fill copies everything), so a finished run's pair
-// is immediately reusable; state is scrubbed on the next acquire.
-func (r *Runner) release(proto string, cores, aimEntries int, m *machine.Machine, p machine.Protocol) {
-	if _, ok := p.(resettable); !ok {
-		return
-	}
-	pk := poolKey{proto, cores, aimEntries}
-	r.poolMu.Lock()
-	r.pool[pk] = append(r.pool[pk], pooledPair{m, p})
-	r.poolMu.Unlock()
+	return r.traces.do(traceKey{wl, cores}, func() (*trace.Trace, error) {
+		gen, ok := workload.Generator(wl)
+		if !ok {
+			return nil, fmt.Errorf("bench: unknown workload %q", wl)
+		}
+		return gen(workload.Params{Threads: cores, Seed: r.cfg.Seed, Scale: r.cfg.Scale}), nil
+	})
 }
 
 // Analysis returns the memoized static analysis of the named workload's
@@ -577,30 +469,19 @@ func (r *Runner) release(proto string, cores, aimEntries int, m *machine.Machine
 // analyzer executes at most once per identity regardless of how many
 // tiered runs consult it.
 func (r *Runner) Analysis(wl string, cores int) (*static.Analysis, error) {
-	key := anKey{wl, cores}
-	r.anMu.Lock()
-	if e, ok := r.anMemo[key]; ok {
-		r.anMu.Unlock()
-		<-e.done
-		return e.an, e.err
-	}
-	e := &anEntry{done: make(chan struct{})}
-	r.anMemo[key] = e
-	r.anMu.Unlock()
-
-	start := time.Now()
-	tr, err := r.trace(wl, cores)
-	if err != nil {
-		e.err = err
-	} else {
-		e.an, e.err = static.Analyze(tr)
-	}
-	r.statMu.Lock()
-	r.timing.AnalysisRuns++
-	r.timing.AnalysisTime += time.Since(start)
-	r.statMu.Unlock()
-	close(e.done)
-	return e.an, e.err
+	return r.analyses.do(traceKey{wl, cores}, func() (*static.Analysis, error) {
+		start := time.Now()
+		var an *static.Analysis
+		tr, err := r.trace(wl, cores)
+		if err == nil {
+			an, err = static.Analyze(tr)
+		}
+		r.statMu.Lock()
+		r.timing.AnalysisRuns++
+		r.timing.AnalysisTime += time.Since(start)
+		r.statMu.Unlock()
+		return an, err
+	})
 }
 
 // WitnessReport returns the memoized witness classification of the
@@ -612,37 +493,25 @@ func (r *Runner) Analysis(wl string, cores int) (*static.Analysis, error) {
 // directed replays), so the memo matters: however many experiments and
 // views consult a trace identity, it is examined once.
 func (r *Runner) WitnessReport(wl string, cores int) (*witness.Report, error) {
-	key := anKey{wl, cores}
-	r.wtMu.Lock()
-	if e, ok := r.wtMemo[key]; ok {
-		r.wtMu.Unlock()
-		<-e.done
-		return e.rep, e.err
-	}
-	e := &wtEntry{done: make(chan struct{})}
-	r.wtMemo[key] = e
-	r.wtMu.Unlock()
-
-	start := time.Now()
-	tr, err := r.trace(wl, cores)
-	if err == nil {
-		var an *static.Analysis
-		if an, err = r.Analysis(wl, cores); err == nil {
-			e.rep, e.err = witness.Examine(tr, an, witness.Options{})
+	return r.witnesses.do(traceKey{wl, cores}, func() (*witness.Report, error) {
+		start := time.Now()
+		var rep *witness.Report
+		tr, err := r.trace(wl, cores)
+		if err == nil {
+			var an *static.Analysis
+			if an, err = r.Analysis(wl, cores); err == nil {
+				rep, err = witness.Examine(tr, an, witness.Options{})
+			}
 		}
-	}
-	if err != nil {
-		e.err = err
-	}
-	r.statMu.Lock()
-	r.timing.WitnessRuns++
-	r.timing.WitnessTime += time.Since(start)
-	if e.rep != nil {
-		r.timing.WitnessReplays += e.rep.Replays
-	}
-	r.statMu.Unlock()
-	close(e.done)
-	return e.rep, e.err
+		r.statMu.Lock()
+		r.timing.WitnessRuns++
+		r.timing.WitnessTime += time.Since(start)
+		if rep != nil {
+			r.timing.WitnessReplays += rep.Replays
+		}
+		r.statMu.Unlock()
+		return rep, err
+	})
 }
 
 // execute performs one simulation (no memo interaction).
@@ -679,12 +548,12 @@ func (r *Runner) execute(ctx context.Context, key runKey) (*sim.Result, error) {
 			r.statMu.Unlock()
 		}
 	} else {
-		m, p, berr := r.acquire(proto, cores, key.aim)
+		m, p, berr := r.pool.Get(proto, mcfg)
 		if berr != nil {
 			return nil, berr
 		}
 		res, err = sim.RunContext(ctx, m, p, tr, sim.Options{CheckWithOracle: key.oracle})
-		r.release(proto, cores, key.aim, m, p)
+		r.pool.Put(proto, m, p)
 	}
 	elapsed := time.Since(start)
 	if err != nil {

@@ -124,9 +124,9 @@ func TestSingleflightCollapsesDuplicates(t *testing.T) {
 // plans must not touch the memo at all.
 func TestPlanCoversRun(t *testing.T) {
 	memoSize := func(r *Runner) int {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return len(r.memo)
+		r.runs.mu.Lock()
+		defer r.runs.mu.Unlock()
+		return len(r.runs.flights)
 	}
 	for _, e := range All() {
 		e := e

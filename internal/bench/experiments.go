@@ -12,12 +12,6 @@ import (
 	"arcsim/internal/workload"
 )
 
-// designs evaluated in the performance figures.
-var designs = []string{protocols.MESI, protocols.CE, protocols.CEPlus, protocols.ARC}
-
-// detecting designs (everything but the baseline).
-var detecting = []string{protocols.CE, protocols.CEPlus, protocols.ARC}
-
 // suiteNames returns the DRF workload names in catalog order.
 func suiteNames() []string {
 	var names []string
@@ -136,15 +130,15 @@ func (r *Runner) normTable(title, xlabel string, cores int, protos []string, met
 }
 
 // planF1 covers the detecting designs plus the MESI baseline Normalized
-// divides by (designs is exactly that union).
+// divides by (protocols.Names() is exactly that union).
 func planF1(cfg Config) []RunSpec {
-	return crossSpecs(suiteNames(), designs, cfg.Cores)
+	return crossSpecs(suiteNames(), protocols.Names(), cfg.Cores)
 }
 
 func runF1(r *Runner) (*Output, error) {
 	body, geo, err := r.normTable(
 		fmt.Sprintf("Figure F1: execution time normalized to MESI (%d cores)", r.cfg.Cores),
-		"lower is better", r.cfg.Cores, detecting, MetricCycles)
+		"lower is better", r.cfg.Cores, protocols.Detecting(), MetricCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +171,7 @@ func runF1(r *Runner) (*Output, error) {
 // F2: scalability sweep.
 
 func planF2(cfg Config) []RunSpec {
-	return crossSpecs(suiteNames(), designs, cfg.CoreSweep...)
+	return crossSpecs(suiteNames(), protocols.Names(), cfg.CoreSweep...)
 }
 
 func runF2(r *Runner) (*Output, error) {
@@ -186,7 +180,7 @@ func runF2(r *Runner) (*Output, error) {
 	for _, cores := range r.cfg.CoreSweep {
 		per := make(map[string][]float64)
 		for _, wl := range suiteNames() {
-			for _, p := range detecting {
+			for _, p := range protocols.Detecting() {
 				v, err := r.Normalized(wl, p, cores, MetricCycles)
 				if err != nil {
 					return nil, err
@@ -196,12 +190,12 @@ func runF2(r *Runner) (*Output, error) {
 		}
 		geo := make(map[string]float64)
 		var vals []float64
-		for _, p := range detecting {
+		for _, p := range protocols.Detecting() {
 			geo[p] = stats.Geomean(per[p])
 			vals = append(vals, geo[p])
 		}
 		geoAt[cores] = geo
-		fig.AddGroup(fmt.Sprintf("%d cores", cores), detecting, vals)
+		fig.AddGroup(fmt.Sprintf("%d cores", cores), protocols.Detecting(), vals)
 	}
 	lo := r.cfg.CoreSweep[0]
 	hi := r.cfg.CoreSweep[len(r.cfg.CoreSweep)-1]
@@ -238,13 +232,13 @@ func runF2(r *Runner) (*Output, error) {
 // F3: on-chip traffic.
 
 func planF3(cfg Config) []RunSpec {
-	return crossSpecs(suiteNames(), designs, cfg.Cores)
+	return crossSpecs(suiteNames(), protocols.Names(), cfg.Cores)
 }
 
 func runF3(r *Runner) (*Output, error) {
 	body, geo, err := r.normTable(
 		fmt.Sprintf("Figure F3: on-chip interconnect traffic (flit-hops) normalized to MESI (%d cores)", r.cfg.Cores),
-		"lower is better", r.cfg.Cores, designs, MetricFlitHop)
+		"lower is better", r.cfg.Cores, protocols.Names(), MetricFlitHop)
 	if err != nil {
 		return nil, err
 	}
@@ -275,13 +269,13 @@ func runF3(r *Runner) (*Output, error) {
 // F4: off-chip traffic.
 
 func planF4(cfg Config) []RunSpec {
-	return crossSpecs(suiteNames(), designs, cfg.Cores)
+	return crossSpecs(suiteNames(), protocols.Names(), cfg.Cores)
 }
 
 func runF4(r *Runner) (*Output, error) {
 	body, geo, err := r.normTable(
 		fmt.Sprintf("Figure F4: off-chip memory traffic (bytes) normalized to MESI (%d cores)", r.cfg.Cores),
-		"lower is better", r.cfg.Cores, designs, MetricOffChip)
+		"lower is better", r.cfg.Cores, protocols.Names(), MetricOffChip)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +283,7 @@ func runF4(r *Runner) (*Output, error) {
 	t := stats.NewTable("Off-chip metadata bytes (absolute)", "workload", "ce", "ce+", "arc")
 	for _, wl := range suiteNames() {
 		row := []string{wl}
-		for _, p := range detecting {
+		for _, p := range protocols.Detecting() {
 			res, err := r.Result(wl, p, r.cfg.Cores, 0)
 			if err != nil {
 				return nil, err
@@ -322,13 +316,13 @@ func runF4(r *Runner) (*Output, error) {
 // F5: energy.
 
 func planF5(cfg Config) []RunSpec {
-	return crossSpecs(suiteNames(), designs, cfg.Cores)
+	return crossSpecs(suiteNames(), protocols.Names(), cfg.Cores)
 }
 
 func runF5(r *Runner) (*Output, error) {
 	body, geo, err := r.normTable(
 		fmt.Sprintf("Figure F5: energy normalized to MESI (%d cores)", r.cfg.Cores),
-		"lower is better", r.cfg.Cores, designs, MetricEnergy)
+		"lower is better", r.cfg.Cores, protocols.Names(), MetricEnergy)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +330,7 @@ func runF5(r *Runner) (*Output, error) {
 	// meaningful; report absolute sums over the suite instead).
 	t := stats.NewTable("Energy by component, summed over the suite (uJ)",
 		"design", "L1", "LLC", "AIM", "NoC", "DRAM", "Static", "total")
-	for _, p := range designs {
+	for _, p := range protocols.Names() {
 		sums := map[string]float64{}
 		total := 0.0
 		for _, wl := range suiteNames() {
@@ -571,7 +565,7 @@ func runF7(r *Runner) (*Output, error) {
 func planT3(cfg Config) []RunSpec {
 	var specs []RunSpec
 	for _, spec := range workload.RacySuite() {
-		for _, p := range detecting {
+		for _, p := range protocols.Detecting() {
 			specs = append(specs, RunSpec{Workload: spec.Name, Proto: p, Cores: cfg.Cores, Oracle: true})
 		}
 	}
@@ -593,7 +587,7 @@ func runT3(r *Runner) (*Output, error) {
 	for _, spec := range workload.RacySuite() {
 		counts[spec.Name] = map[string]int{}
 		row := []string{spec.Name}
-		for _, p := range detecting {
+		for _, p := range protocols.Detecting() {
 			res, err := r.CheckedResult(spec.Name, p, r.cfg.Cores, 0)
 			if err != nil {
 				// An oracle mismatch surfaces as an error.

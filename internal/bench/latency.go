@@ -13,7 +13,7 @@ import (
 var f8Workloads = []string{"canneal", "racy-sharing"}
 
 func planF8(cfg Config) []RunSpec {
-	return crossSpecs(f8Workloads, designs, cfg.Cores)
+	return crossSpecs(f8Workloads, protocols.Names(), cfg.Cores)
 }
 
 // runF8 reports the per-access latency distribution of each design.
@@ -24,7 +24,7 @@ func runF8(r *Runner) (*Output, error) {
 	mean := map[string]map[string]float64{}
 	for _, wl := range f8Workloads {
 		mean[wl] = map[string]float64{}
-		for _, p := range designs {
+		for _, p := range protocols.Names() {
 			res, err := r.Result(wl, p, r.cfg.Cores, 0)
 			if err != nil {
 				return nil, err

@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"testing"
 
-	"arcsim/internal/cache"
+	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
-	"arcsim/internal/sim"
-	"arcsim/internal/workload"
 )
 
 // pooledDesigns is every design the experiments request, and so every
@@ -20,67 +17,49 @@ var pooledDesigns = []string{
 	protocols.CEPlusWord, protocols.ARCWord,
 }
 
-// TestPooledRunsMatchFresh proves the pooling contract: a run on a
-// recycled (Reset) machine+protocol pair is byte-identical to the same
-// run on a freshly built pair. Runner A primes a pair with a canneal
-// trace large enough to leave lines in most LLC sets, returns it to the
-// pool, then simulates the probe workload on the recycled pair; Runner B
-// simulates only the probe workload, so its build is fresh.
+// TestPooledRunsMatchFresh proves that a Runner, and a Runner Derive
+// made from it at another seed, run on their shared pool, and that a
+// recycled run is byte-identical to the same run on a fresh build
+// (protocols.TestPoolGetResets holds the Pool itself to that after a
+// priming run across most LLC sets). Runner A's canneal run leaves state
+// in the pair; A's dedup run, then the derived runner's, must run on the
+// same pair and match a fresh Runner's.
 func TestPooledRunsMatchFresh(t *testing.T) {
 	const cores = 4
 	cfg := Config{Scale: 0.02, Seed: 1, Cores: cores}
-	canneal, ok := workload.ByName("canneal")
-	if !ok {
-		t.Fatal("workload canneal missing")
-	}
-	prime := canneal.Build(workload.Params{Threads: cores, Seed: 2, Scale: 0.5})
 	for _, proto := range pooledDesigns {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			a := NewRunner(cfg)
-			m, p, err := a.acquire(proto, cores, 0)
+			m, p, err := a.pool.Get(proto, machine.Default(cores))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sim.Run(m, p, prime, sim.Options{}); err != nil {
-				t.Fatalf("priming run: %v", err)
+			a.pool.Put(proto, m, p)
+			derived := a.Derive(cfg.Scale, 7)
+			for _, step := range []struct {
+				r  *Runner
+				wl string
+			}{{a, "canneal"}, {a, "dedup"}, {derived, "dedup"}} {
+				res, err := step.r.Result(step.wl, proto, cores, 0)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", step.r.cfg.Seed, step.wl, err)
+				}
+				if m.L1Stats() != res.L1 || m.LLCStats() != res.LLC {
+					t.Fatalf("seed %d %s did not run on the pooled pair", step.r.cfg.Seed, step.wl)
+				}
+				fresh, err := NewRunner(step.r.cfg).Result(step.wl, proto, cores, 0)
+				if err != nil {
+					t.Fatalf("fresh run: %v", err)
+				}
+				if !jsonEqual(res, fresh) {
+					t.Errorf("seed %d %s: pooled result (%d cycles) diverges from a fresh build (%d cycles)",
+						step.r.cfg.Seed, step.wl, res.Cycles, fresh.Cycles)
+				}
 			}
-			occupied, sets := 0, 0
-			for _, c := range m.LLC {
-				seen := make(map[int]bool)
-				c.ForEach(func(l *cache.Line) { seen[c.SetIndex(l.Tag)] = true })
-				occupied += len(seen)
-				sets += c.Config().Sets()
-			}
-			if 2*occupied < sets {
-				t.Fatalf("priming run left lines in %d of %d LLC sets, want at least half", occupied, sets)
-			}
-			a.release(proto, cores, 0, m, p)
-
-			pooled, err := a.Result("dedup", proto, cores, 0)
-			if err != nil {
-				t.Fatalf("pooled run: %v", err)
-			}
-			if s := a.pool[poolKey{proto, cores, 0}]; len(s) != 1 || s[0].m != m {
-				t.Fatalf("probe run did not recycle the primed pair")
-			}
-
-			b := NewRunner(cfg)
-			fresh, err := b.Result("dedup", proto, cores, 0)
-			if err != nil {
-				t.Fatalf("fresh run: %v", err)
-			}
-
-			pj, err := json.Marshal(pooled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fj, err := json.Marshal(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(pj) != string(fj) {
-				t.Errorf("pooled result diverges from fresh build:\npooled: %s\nfresh:  %s", pj, fj)
+			if a.Timing().Runs != 2 || derived.Timing().Runs != 1 {
+				t.Errorf("runs: %d and %d; want 2 and 1 (memo and timing are per runner)",
+					a.Timing().Runs, derived.Timing().Runs)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
 	"arcsim/internal/sim"
 	"arcsim/internal/stats"
@@ -75,6 +76,7 @@ func runR1(r *Runner) (*Output, error) {
 func (r *Runner) seedGeomeans(seeds []int64) ([]map[string]float64, error) {
 	suite := workload.Suite()
 	cores := r.cfg.Cores
+	designs := protocols.Names()
 	nd, nw := len(designs), len(suite)
 	type seedTrace struct {
 		once sync.Once
@@ -99,7 +101,7 @@ func (r *Runner) seedGeomeans(seeds []int64) ([]map[string]float64, error) {
 		t.once.Do(func() {
 			t.tr = spec.Build(workload.Params{Threads: cores, Seed: seed, Scale: r.cfg.Scale})
 		})
-		m, p, err := r.acquire(proto, cores, 0)
+		m, p, err := r.pool.Get(proto, machine.Default(cores))
 		if err != nil {
 			errs[i] = err
 			return
@@ -107,7 +109,7 @@ func (r *Runner) seedGeomeans(seeds []int64) ([]map[string]float64, error) {
 		start := time.Now()
 		res, err := sim.Run(m, p, t.tr, sim.Options{})
 		elapsed := time.Since(start)
-		r.release(proto, cores, 0, m, p)
+		r.pool.Put(proto, m, p)
 		if err != nil {
 			errs[i] = fmt.Errorf("seed %d %s/%s: %w", seed, spec.Name, proto, err)
 			return

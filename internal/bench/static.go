@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
 	"arcsim/internal/sim"
 	"arcsim/internal/static"
@@ -77,7 +78,7 @@ func runStatic(r *Runner) (*Output, error) {
 		row.proven = an.ProvenDRF()
 		row.predicted = len(an.Conflicts())
 
-		m, p, err := r.acquire(protocols.CE, cores, 0)
+		m, p, err := r.pool.Get(protocols.CE, machine.Default(cores))
 		if err != nil {
 			row.err = fmt.Errorf("build ce: %w", err)
 			return
@@ -85,7 +86,7 @@ func runStatic(r *Runner) (*Output, error) {
 		start := time.Now()
 		res, err := sim.Run(m, p, tr, sim.Options{})
 		row.simTime = time.Since(start)
-		r.release(protocols.CE, cores, 0, m, p)
+		r.pool.Put(protocols.CE, m, p)
 		r.record("stat/sim/"+spec.Name, row.simTime)
 		if err != nil {
 			row.err = fmt.Errorf("simulate %s: %w", spec.Name, err)

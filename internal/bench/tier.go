@@ -346,14 +346,14 @@ speedup %.2fx, achievable %.1fx (%s).
 // and records it in the runner's timing accounting. The pair is taken
 // before the timer starts and returned after it stops.
 func timedRun(r *Runner, label, proto string, cores int, tr *trace.Trace, oracle bool) (*sim.Result, time.Duration, error) {
-	m, p, err := r.acquire(proto, cores, 0)
+	m, p, err := r.pool.Get(proto, machine.Default(cores))
 	if err != nil {
 		return nil, 0, fmt.Errorf("tier: build %s: %w", proto, err)
 	}
 	start := time.Now()
 	res, err := sim.Run(m, p, tr, sim.Options{CheckWithOracle: oracle})
 	elapsed := time.Since(start)
-	r.release(proto, cores, 0, m, p)
+	r.pool.Put(proto, m, p)
 	if err != nil {
 		return nil, 0, fmt.Errorf("tier: simulate %s/%s: %w", label, proto, err)
 	}

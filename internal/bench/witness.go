@@ -9,6 +9,7 @@ import (
 
 	"arcsim/internal/conformance"
 	"arcsim/internal/core"
+	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
 	"arcsim/internal/sched"
 	"arcsim/internal/sim"
@@ -252,14 +253,14 @@ func runWitness(r *Runner) (*Output, error) {
 			return nil, err
 		}
 		cores := tr.NumThreads()
-		m, p, err := r.acquire(protocols.CE, cores, 0)
+		m, p, err := r.pool.Get(protocols.CE, machine.Default(cores))
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
 		_, err = sim.Run(m, p, tr, sim.Options{CheckWithOracle: !j.refuted})
 		j.actual = time.Since(start)
-		r.release(protocols.CE, cores, 0, m, p)
+		r.pool.Put(protocols.CE, m, p)
 		if err != nil {
 			return nil, fmt.Errorf("wit: simulating %s: %w", j.name, err)
 		}

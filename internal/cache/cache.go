@@ -278,20 +278,3 @@ func (c *Cache) Occupancy() int {
 	}
 	return n
 }
-
-// WouldEvict returns the line that inserting `line` would displace, if
-// the set is full, without modifying anything.
-func (c *Cache) WouldEvict(line core.Line) (Line, bool) {
-	set := c.setOf(line)
-	var lru *Line
-	for i := range set {
-		ln := &set[i]
-		if !ln.Valid {
-			return Line{}, false
-		}
-		if lru == nil || ln.lru < lru.lru {
-			lru = ln
-		}
-	}
-	return *lru, true
-}

@@ -130,24 +130,6 @@ func TestOccupancyAndForEach(t *testing.T) {
 	}
 }
 
-func TestWouldEvict(t *testing.T) {
-	c := New(cfg4x2())
-	if _, full := c.WouldEvict(0); full {
-		t.Error("empty set reported full")
-	}
-	c.Insert(0)
-	c.Insert(4)
-	c.Lookup(4)
-	v, full := c.WouldEvict(8)
-	if !full || v.Tag != 0 {
-		t.Errorf("WouldEvict = %+v %v, want tag 0", v, full)
-	}
-	// WouldEvict must not mutate.
-	if c.Peek(0) == nil || c.Peek(4) == nil {
-		t.Error("WouldEvict mutated the cache")
-	}
-}
-
 // TestLRUStackProperty: with a single set, after any access sequence the
 // resident lines are exactly the k most recently used distinct lines.
 func TestLRUStackProperty(t *testing.T) {

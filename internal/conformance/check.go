@@ -60,29 +60,13 @@ func (f *Failure) Error() string {
 // count. Real designs come from DesignBuild; mutants inject faults.
 type BuildFunc func(cores int) (*machine.Machine, machine.Protocol, error)
 
-// machineConfig is machine.Default with the AIM geometry adapted to the
-// core count: the default 32K-entry AIM only divides across power-of-two
-// tile counts, but generated (and especially shrunk) traces run on
-// arbitrary thread counts. Trimming the entry count to the nearest
-// per-tile multiple of the associativity keeps every configuration
-// valid without changing the designs' semantics.
-func machineConfig(cores int) machine.Config {
-	cfg := machine.Default(cores)
-	// Largest power-of-two set count per tile that fits the default
-	// total (the AIM requires power-of-two sets of Ways entries each).
-	sets := 1
-	for sets*2*cfg.AIM.Ways*cores <= cfg.AIM.Entries {
-		sets *= 2
-	}
-	cfg.AIM.Entries = sets * cfg.AIM.Ways * cores
-	return cfg
-}
-
 // DesignBuild returns the honest build for a named design on the default
-// machine configuration.
+// machine configuration, with the AIM trimmed to fit the core count
+// (machine.Fitted): generated, and especially shrunk, traces run on
+// arbitrary thread counts.
 func DesignBuild(name string) BuildFunc {
 	return func(cores int) (*machine.Machine, machine.Protocol, error) {
-		return protocols.Build(name, machineConfig(cores))
+		return protocols.Build(name, machine.Fitted(cores))
 	}
 }
 

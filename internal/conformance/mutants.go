@@ -111,7 +111,7 @@ func CheckMutant(tr *trace.Trace, m Mutant) error {
 // honest design's default machine.
 func wrapped(design string, wrap func(*machine.Machine, machine.Protocol) machine.Protocol) BuildFunc {
 	return func(cores int) (*machine.Machine, machine.Protocol, error) {
-		m, p, err := protocols.Build(design, machineConfig(cores))
+		m, p, err := protocols.Build(design, machine.Fitted(cores))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -124,7 +124,7 @@ func wrapped(design string, wrap func(*machine.Machine, machine.Protocol) machin
 // path deep in the eviction handling).
 func ceDropReadSpill(design string) BuildFunc {
 	return func(cores int) (*machine.Machine, machine.Protocol, error) {
-		m, p, err := protocols.Build(design, machineConfig(cores))
+		m, p, err := protocols.Build(design, machine.Fitted(cores))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -47,7 +47,7 @@ func checkTiered(t *testing.T, prog *Program) {
 	if cores == 0 {
 		return // degenerate: nothing to simulate
 	}
-	mcfg := machineConfig(cores)
+	mcfg := machine.Fitted(cores)
 	plan := sim.PlanPhases(an, prog.Trace, mcfg)
 	for _, name := range Designs() {
 		straight, err := runOne(prog.Trace, DesignBuild(name), false, defaultMaxCycles)
@@ -119,7 +119,7 @@ func TestPhaseDisjointGeneratorEligible(t *testing.T) {
 		if !an.ProvenDRF() {
 			t.Fatalf("seed %d: phase-disjoint program not proven DRF: %v", s, an.Conflicts())
 		}
-		if sim.PlanPhases(an, prog.Trace, machineConfig(prog.Trace.NumThreads())) == nil {
+		if sim.PlanPhases(an, prog.Trace, machine.Fitted(prog.Trace.NumThreads())) == nil {
 			t.Fatalf("seed %d: phase-disjoint program refused by PlanPhases", s)
 		}
 		checkTiered(t, prog)
@@ -131,7 +131,7 @@ func TestPhaseDisjointGeneratorEligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.PlanPhases(an, prog.Trace, machineConfig(prog.Trace.NumThreads())) != nil {
+	if sim.PlanPhases(an, prog.Trace, machine.Fitted(prog.Trace.NumThreads())) != nil {
 		t.Fatal("racy program accepted by PlanPhases")
 	}
 	checkTiered(t, prog)

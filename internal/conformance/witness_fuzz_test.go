@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
 	"arcsim/internal/sim"
 	"arcsim/internal/static"
@@ -15,7 +16,7 @@ import (
 // default schedule does not).
 func runDirected(t *testing.T, prog *Program, d sim.Director) *sim.Result {
 	t.Helper()
-	m, p, err := protocols.Build(protocols.CE, machineConfig(prog.Trace.NumThreads()))
+	m, p, err := protocols.Build(protocols.CE, machine.Fitted(prog.Trace.NumThreads()))
 	if err != nil {
 		t.Fatal(err)
 	}

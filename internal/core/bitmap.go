@@ -32,9 +32,6 @@ func (m ByteMask) Overlaps(o ByteMask) bool { return m&o != 0 }
 // Union returns the bytes covered by either mask.
 func (m ByteMask) Union(o ByteMask) ByteMask { return m | o }
 
-// Intersect returns the bytes covered by both masks.
-func (m ByteMask) Intersect(o ByteMask) ByteMask { return m & o }
-
 // Empty reports whether no byte is covered.
 func (m ByteMask) Empty() bool { return m == 0 }
 

@@ -112,9 +112,6 @@ func NewMeter(model Model) *Meter {
 	return &Meter{model: model}
 }
 
-// Model returns the meter's model.
-func (m *Meter) Model() Model { return m.model }
-
 // Reset zeroes the accumulated energy (machine pooling).
 func (m *Meter) Reset() { m.pj = [numComponents]float64{} }
 

@@ -44,6 +44,11 @@ type Protocol interface {
 	// returns its latency. The simulator advances the machine's region
 	// counter after Boundary returns.
 	Boundary(now uint64, c core.CoreID) uint64
+	// Reset returns the engine to its freshly-built state on a machine
+	// that Machine.Reset has just cleared, keeping its allocated
+	// metadata tables. A run after both Resets is byte-identical to a
+	// run on a fresh build (see protocols.Pool).
+	Reset()
 }
 
 // Config describes one simulated machine (Table T1 of the evaluation).
@@ -90,6 +95,22 @@ func Default(cores int) Config {
 		Energy:        energy.DefaultModel(),
 		Policy:        core.LogAndContinue,
 	}
+}
+
+// Fitted is Default with the AIM trimmed to fit any core count: the
+// default 32K-entry AIM only divides across power-of-two tile counts, so
+// Fitted takes the largest power-of-two set count per tile, of Ways
+// entries each, that fits the default total. At 8, 16, 32 and 64 cores
+// it returns Default unchanged. Generated programs, whose thread counts
+// are arbitrary, run on it.
+func Fitted(cores int) Config {
+	cfg := Default(cores)
+	sets := 1
+	for sets*2*cfg.AIM.Ways*cores <= cfg.AIM.Entries {
+		sets *= 2
+	}
+	cfg.AIM.Entries = sets * cfg.AIM.Ways * cores
+	return cfg
 }
 
 // Validate reports configuration errors.
@@ -253,9 +274,6 @@ func (m *Machine) growCounters() {
 	copy(touched, m.touched)
 	m.counters, m.touched = counters, touched
 }
-
-// Inc bumps a named counter (slow path: interns the name first).
-func (m *Machine) Inc(name string, n uint64) { m.IncID(RegisterCounter(name), n) }
 
 // Counter returns the current value of a named counter (zero if never
 // touched). Intended for tests and reports, not the hot loop.

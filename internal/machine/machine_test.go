@@ -12,6 +12,16 @@ func TestDefaultConfigValid(t *testing.T) {
 			t.Errorf("Default(%d): %v", cores, err)
 		}
 	}
+	// Fitted is valid at every core count, and is Default at the
+	// evaluation's core counts.
+	for cores := 1; cores <= 64; cores++ {
+		if err := Fitted(cores).Validate(); err != nil {
+			t.Errorf("Fitted(%d): %v", cores, err)
+		}
+		if cores >= 8 && cores&(cores-1) == 0 && Fitted(cores) != Default(cores) {
+			t.Errorf("Fitted(%d) AIM %+v, want Default's", cores, Fitted(cores).AIM)
+		}
+	}
 }
 
 func TestValidateRejects(t *testing.T) {

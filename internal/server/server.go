@@ -204,7 +204,7 @@ type Server struct {
 	order   []string // creation order
 	nextID  int
 	epoch   string                   // per-lifetime id suffix; see epochToken
-	runners map[string]*bench.Runner // one per (scale, seed)
+	runners map[string]*bench.Runner // one per (scale, seed), derived from base
 	cycles  map[string]uint64        // simulated cycles per protocol
 	// Tier accounting (under mu): analyzer verdicts recorded and jobs
 	// completed with a synthesized result instead of a simulation.
@@ -215,6 +215,11 @@ type Server struct {
 	witnessStatus  map[string]int
 	witnessExams   int
 	witnessReplays int
+
+	// base carries what every per-(scale, seed) runner shares: the
+	// machine pool, the result cache, Tier and Progress. It runs nothing
+	// itself.
+	base *bench.Runner
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -255,6 +260,16 @@ func New(cfg Config) *Server {
 		now:           time.Now,
 		heartbeat:     5 * time.Second,
 	}
+	base := bench.Config{Progress: s.cfg.Progress, Tier: s.cfg.Tier}
+	switch {
+	case s.cfg.Mesh != nil:
+		// Local store first, then a read-through across healthy peers;
+		// only a fleet-wide miss reaches the simulator.
+		base.Cache = mesh.NewCache(s.cfg.Mesh)
+	case s.cfg.Store != nil:
+		base.Cache = s.cfg.Store
+	}
+	s.base = bench.NewRunner(base)
 	s.queue = make(chan *job, s.cfg.QueueDepth)
 	s.runJob = s.simulate
 	s.mux = http.NewServeMux()
@@ -467,7 +482,7 @@ func (s *Server) simulate(ctx context.Context, spec JobSpec) (*sim.Result, error
 	})
 }
 
-// runner returns (creating on first use) the runner for spec's
+// runner returns (deriving on first use) the runner for spec's
 // scale/seed pair.
 func (s *Server) runner(spec JobSpec) *bench.Runner {
 	key := fmt.Sprintf("%g|%d", spec.Scale, spec.Seed)
@@ -476,16 +491,7 @@ func (s *Server) runner(spec JobSpec) *bench.Runner {
 	if r, ok := s.runners[key]; ok {
 		return r
 	}
-	cfg := bench.Config{Scale: spec.Scale, Seed: spec.Seed, Progress: s.cfg.Progress, Tier: s.cfg.Tier}
-	switch {
-	case s.cfg.Mesh != nil:
-		// Local store first, then a read-through across healthy peers;
-		// only a fleet-wide miss reaches the simulator.
-		cfg.Cache = mesh.NewCache(s.cfg.Mesh)
-	case s.cfg.Store != nil:
-		cfg.Cache = s.cfg.Store
-	}
-	r := bench.NewRunner(cfg)
+	r := s.base.Derive(spec.Scale, spec.Seed)
 	s.runners[key] = r
 	return r
 }
@@ -721,12 +727,8 @@ func normalizeSpec(spec *JobSpec) error {
 	if spec.Workload == "" {
 		return errors.New("workload is required")
 	}
-	switch spec.Workload {
-	case "falseshare", "aimstress", "phasedisjoint": // engine specials outside the catalog
-	default:
-		if _, ok := workload.ByName(spec.Workload); !ok {
-			return fmt.Errorf("unknown workload %q", spec.Workload)
-		}
+	if _, ok := workload.Generator(spec.Workload); !ok {
+		return fmt.Errorf("unknown workload %q", spec.Workload)
 	}
 	if spec.AIMEntries < 0 {
 		return fmt.Errorf("aimEntries %d must be >= 0", spec.AIMEntries)

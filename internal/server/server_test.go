@@ -325,7 +325,8 @@ func TestSubmitValidation(t *testing.T) {
 		protocols.ARCNoRO, protocols.ARCNoPrivate, protocols.MOESI,
 		protocols.CEPlusMOESI, protocols.CEPlusWord, protocols.ARCWord,
 	}
-	srv := New(Config{Workers: 1, QueueDepth: 2 * len(designs)})
+	kernels := []string{"falseshare", "aimstress", "phasedisjoint"} // outside the catalog
+	srv := New(Config{Workers: 1, QueueDepth: 2 * len(designs) * (1 + len(kernels))})
 	// No Start: validation must reject before anything reaches the queue.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -353,11 +354,13 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("rejected specs registered %d jobs", len(jobs))
 	}
 
-	for _, design := range designs {
-		for _, cores := range []int{1, 64} {
-			spec := JobSpec{Workload: "x264", Protocol: design, Cores: cores}
-			if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusAccepted {
-				t.Errorf("spec %+v: got %d, want 202", spec, resp.StatusCode)
+	for _, wl := range append(kernels, "x264") {
+		for _, design := range designs {
+			for _, cores := range []int{1, 64} {
+				spec := JobSpec{Workload: wl, Protocol: design, Cores: cores}
+				if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusAccepted {
+					t.Errorf("spec %+v: got %d, want 202", spec, resp.StatusCode)
+				}
 			}
 		}
 	}
@@ -384,6 +387,46 @@ func TestSubmitValidatesWithoutBuilding(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / submits; per >= 1<<20 {
 		t.Errorf("each submit allocated %d bytes, want under 1 MB", per)
+	}
+}
+
+// TestDaemonSharesOnePoolAcrossSeeds holds a daemon to one machine
+// pool however many seeds it serves. After a GC, the heap the first
+// seed's jobs leave behind is mostly that seed's machines: one per
+// design. Three more seeds over the same designs and core count must
+// together retain less than that, where a pool per seed retains three
+// times as much.
+func TestDaemonSharesOnePoolAcrossSeeds(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	serve := func(seed int64) {
+		for _, design := range protocols.Names() {
+			spec := JobSpec{Workload: "dedup", Protocol: design, Cores: 8, Scale: 0.02, Seed: seed}
+			if err := normalizeSpec(&spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.simulate(context.Background(), spec); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, design, err)
+			}
+		}
+	}
+	before := heap()
+	serve(1)
+	first := heap()
+	for seed := int64(2); seed <= 4; seed++ {
+		serve(seed)
+	}
+	after := heap()
+	runtime.KeepAlive(srv)
+	oneSeed, more := first-before, after-first
+	t.Logf("heap: first seed +%.1f MB, three more seeds +%.1f MB", float64(oneSeed)/(1<<20), float64(more)/(1<<20))
+	if more >= oneSeed {
+		t.Errorf("three more seeds retained %d bytes, not less than the first seed's %d", more, oneSeed)
 	}
 }
 

@@ -26,7 +26,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not deterministic")
 	}
-	type rst interface{ Reset() }
 	const cores = 4
 	spec, ok := workload.ByName("dedup")
 	if !ok {
@@ -51,13 +50,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, ok := p.(rst)
-			if !ok {
-				t.Fatalf("%s protocol is not resettable", proto)
-			}
 			runOnce := func(tr *trace.Trace) {
 				m.Reset()
-				r.Reset()
+				p.Reset()
 				if _, err := Run(m, p, tr, Options{}); err != nil {
 					t.Fatal(err)
 				}

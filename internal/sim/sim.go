@@ -100,15 +100,6 @@ type Result struct {
 	Counters map[string]uint64
 }
 
-// NoCQueuePerAccess returns interconnect queueing cycles per memory
-// access, the F7 saturation metric; 0 for runs that made no accesses.
-func (r *Result) NoCQueuePerAccess() float64 {
-	if r.MemAccesses == 0 {
-		return 0
-	}
-	return float64(r.NoC.QueueCycles) / float64(r.MemAccesses)
-}
-
 // finiteOrZero maps NaN/Inf to 0: degenerate runs (zero cycles, no
 // traffic, a windowless 1-tile mesh) can produce 0/0 utilization ratios,
 // and a per-cycle ratio of a run that did nothing is best reported as 0.
@@ -117,26 +108,6 @@ func finiteOrZero(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// LoadImbalance returns max(core finish) / mean(core finish) — 1.0 means
-// perfectly balanced.
-func (r *Result) LoadImbalance() float64 {
-	if len(r.CoreFinish) == 0 {
-		return 0
-	}
-	var sum, max uint64
-	for _, f := range r.CoreFinish {
-		sum += f
-		if f > max {
-			max = f
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(r.CoreFinish))
-	return float64(max) / mean
 }
 
 // Errors returned by Run.

@@ -170,49 +170,17 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// machineConfig adapts the default machine to arbitrary thread counts
-// the same way internal/conformance does: trim the AIM entry count to
-// the nearest per-tile power-of-two multiple of the associativity so
-// generated programs (any thread count) build valid machines.
-func machineConfig(cores int) machine.Config {
-	cfg := machine.Default(cores)
-	sets := 1
-	for sets*2*cfg.AIM.Ways*cores <= cfg.AIM.Entries {
-		sets *= 2
-	}
-	cfg.AIM.Entries = sets * cfg.AIM.Ways * cores
-	return cfg
-}
-
-// simPair is the machine+protocol pair an examination runs on: built on
-// first use, then Reset before every later run, so an examination pays
-// for one machine build however many directed replays it spends. A
-// Reset pair's results are byte-identical to a fresh build's.
-type simPair struct {
-	m *machine.Machine
-	p machine.Protocol
-}
-
-// next readies x for one run of tr under opt: a Reset when x holds a
-// resettable pair, a fresh build otherwise.
-func (x *simPair) next(tr *trace.Trace, opt Options) error {
-	if r, ok := x.p.(interface{ Reset() }); ok {
-		x.m.Reset()
-		r.Reset()
-		return nil
-	}
-	var err error
-	x.m, x.p, err = protocols.Build(opt.Protocol, machineConfig(tr.NumThreads()))
-	return err
-}
-
 // run executes tr under opt's protocol with the given director (nil for
-// the default schedule) on x.
-func (x *simPair) run(tr *trace.Trace, dir sim.Director, opt Options) (*sim.Result, error) {
-	if err := x.next(tr, opt); err != nil {
+// the default schedule) on a pair from pool, and returns the pair to it.
+// An examination recycles one pair through a local pool, so it pays for
+// one machine build however many directed replays it spends.
+func run(pool *protocols.Pool, tr *trace.Trace, dir sim.Director, opt Options) (*sim.Result, error) {
+	m, p, err := pool.Get(opt.Protocol, machine.Fitted(tr.NumThreads()))
+	if err != nil {
 		return nil, err
 	}
-	return sim.Run(x.m, x.p, tr, sim.Options{
+	defer pool.Put(opt.Protocol, m, p)
+	return sim.Run(m, p, tr, sim.Options{
 		CheckWithOracle: opt.Oracle,
 		MaxCycles:       opt.MaxCycles,
 		Director:        dir,
@@ -243,19 +211,19 @@ func confirmsRecord(an *static.Analysis, pc static.PredictedConflict, res *sim.R
 // Replay executes d's schedule and reports whether it raised a conflict
 // belonging to record pc — the verification half of the witness
 // contract: every Confirmed prediction's directive must Replay true.
-// It builds a fresh machine, which makes it the reference the
-// examination's recycled pair is checked against.
+// It builds a fresh machine (an empty pool), which makes it the
+// reference the examination's recycled pair is checked against.
 func Replay(tr *trace.Trace, an *static.Analysis, pc static.PredictedConflict, d Directive, opt Options) (bool, *sim.Result, error) {
-	return new(simPair).replay(tr, an, pc, d, opt.normalized())
+	return replay(new(protocols.Pool), tr, an, pc, d, opt.normalized())
 }
 
-// replay is Replay on x.
-func (x *simPair) replay(tr *trace.Trace, an *static.Analysis, pc static.PredictedConflict, d Directive, opt Options) (bool, *sim.Result, error) {
+// replay is Replay on a pair from pool.
+func replay(pool *protocols.Pool, tr *trace.Trace, an *static.Analysis, pc static.PredictedConflict, d Directive, opt Options) (bool, *sim.Result, error) {
 	var dir sim.Director
 	if d.Order != OrderDefault {
 		dir = newCoTimer(d)
 	}
-	res, err := x.run(tr, dir, opt)
+	res, err := run(pool, tr, dir, opt)
 	if err != nil {
 		if scheduleFault(err) {
 			return false, nil, nil
@@ -302,13 +270,13 @@ func Examine(tr *trace.Trace, an *static.Analysis, opt Options) (*Report, error)
 	// Lazy — a fully refuted program never simulates — and tolerant of
 	// programs whose default schedule deadlocks (they just detect
 	// nothing by default).
-	var x simPair
+	var pool protocols.Pool
 	var base *sim.Result
 	baseline := func() (*sim.Result, error) {
 		if base != nil {
 			return base, nil
 		}
-		res, err := x.run(tr, nil, opt)
+		res, err := run(&pool, tr, nil, opt)
 		if err != nil && !scheduleFault(err) {
 			return nil, fmt.Errorf("witness: baseline run: %w", err)
 		}
@@ -346,7 +314,7 @@ func Examine(tr *trace.Trace, an *static.Analysis, opt Options) (*Report, error)
 					d := Directive{Line: pc.Line, A: pair[0], B: pair[1], Order: ord}
 					rep.Replays++
 					p.Replays++
-					ok, _, err := x.replay(tr, an, pc, d, opt)
+					ok, _, err := replay(&pool, tr, an, pc, d, opt)
 					if err != nil {
 						return nil, fmt.Errorf("witness: replay %v: %w", d, err)
 					}

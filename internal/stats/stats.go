@@ -27,18 +27,6 @@ func Geomean(vs []float64) float64 {
 	return math.Exp(sum / float64(len(vs)))
 }
 
-// Ratio returns a/b, tolerating b == 0 (returns +Inf for a > 0, 1 for
-// a == 0 — "nothing vs nothing" counts as parity).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return a / b
-}
-
 // Table renders aligned text tables.
 type Table struct {
 	Title  string
@@ -102,29 +90,6 @@ func (t *Table) Render() string {
 	b.WriteByte('\n')
 	for _, row := range t.rows {
 		line(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (cells containing
-// commas are quoted).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.rows {
-		writeRow(row)
 	}
 	return b.String()
 }

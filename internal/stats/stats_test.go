@@ -27,18 +27,6 @@ func TestGeomeanPanicsOnNonPositive(t *testing.T) {
 	Geomean([]float64{1, 0})
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(4, 2) != 2 {
-		t.Error("4/2")
-	}
-	if Ratio(0, 0) != 1 {
-		t.Error("0/0 should be parity")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Error("1/0 should be +Inf")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("T", "name", "value")
 	tb.AddRow("alpha", "1")
@@ -77,22 +65,6 @@ func TestTableLongRowPanics(t *testing.T) {
 	}()
 	tb := NewTable("overflow", "a", "b")
 	tb.AddRow("1", "2", "3")
-}
-
-func TestCSV(t *testing.T) {
-	tb := NewTable("", "name", "note")
-	tb.AddRow("x", "has,comma")
-	tb.AddRow("y", `has"quote`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"has,comma"`) {
-		t.Errorf("comma not quoted: %s", csv)
-	}
-	if !strings.Contains(csv, `"has""quote"`) {
-		t.Errorf("quote not escaped: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "name,note\n") {
-		t.Errorf("header wrong: %s", csv)
-	}
 }
 
 func TestFigureRender(t *testing.T) {

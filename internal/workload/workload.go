@@ -118,6 +118,29 @@ func ByName(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
+// kernels are the generators outside the catalog that experiments and
+// clients request by name: A3's false-sharing kernel (DRF at byte
+// granularity, but not a suite member), F6's metadata-pressure kernel,
+// and TIER's phase-parallel showcase, whose disjoint-footprint shape is
+// engineered for sim.PlanPhases rather than representative of the suite.
+var kernels = map[string]func(Params) *trace.Trace{
+	"falseshare":    FalseSharing,
+	"aimstress":     AIMStress,
+	"phasedisjoint": PhaseDisjoint,
+}
+
+// Generator resolves a workload name to its generator: a catalog member
+// first (see ByName), then one of the kernels outside the catalog
+// ("falseshare", "aimstress", "phasedisjoint"). It is the one place that
+// decides which names are workloads.
+func Generator(name string) (func(Params) *trace.Trace, bool) {
+	if s, ok := ByName(name); ok {
+		return s.Build, true
+	}
+	gen, ok := kernels[name]
+	return gen, ok
+}
+
 // Names returns all workload names, sorted.
 func Names() []string {
 	names := make([]string, len(catalog))

@@ -91,6 +91,15 @@ func TestByName(t *testing.T) {
 	if len(Names()) != len(Catalog()) {
 		t.Error("Names() size mismatch")
 	}
+	// Generator resolves the catalog and the three kernels outside it.
+	for _, name := range append(Names(), "falseshare", "aimstress", "phasedisjoint") {
+		if gen, ok := Generator(name); !ok || gen(Params{Threads: 4, Scale: 0.02}).Name != name {
+			t.Errorf("Generator(%q) does not build %s", name, name)
+		}
+	}
+	if _, ok := Generator("nope"); ok {
+		t.Error("Generator(nope) found something")
+	}
 }
 
 func TestSharingStructure(t *testing.T) {
