@@ -34,7 +34,7 @@ BENCHCMP_TOLERANCE ?= 10
 # (CI uses 30s; local default 10s per target).
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fmt-check bench benchcmp fuzz ci
+.PHONY: build test vet lint race fmt-check fma-check bench benchcmp fuzz ci
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,22 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Same result bytes on every architecture: arm64 fuses x*y+z into one
+# rounding (FMADDD and kin) unless a float64(...) conversion rounds the
+# product first, as the Go spec allows; amd64 never fuses. fma-check
+# cross-compiles the packages that compute result bytes for arm64 and
+# fails on any fused instruction, or on an empty listing.
+FMA_PKGS := sim machine energy noc dram cache coherence ce arc aim core stats static bench
+
+fma-check:
+	@asm="$$(mktemp)"; trap 'rm -f "$$asm"' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags=-S $(addprefix ./internal/,$(FMA_PKGS)) >"$$asm" 2>&1 \
+		|| { cat "$$asm"; exit 1; }; \
+	grep -q STEXT "$$asm" || { echo "fma-check: no assembly listing"; exit 1; }; \
+	if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$asm"; then \
+		echo "fma-check: fused multiply-add above; wrap the product in float64(...)"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add in $(words $(FMA_PKGS)) packages"
+
 bench:
 	{ $(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -count=1 -run='^$$' . && \
 	  $(GO) test -bench=. -benchmem -benchtime=300ms -count=1 -run='^$$' ./internal/...; } \
@@ -99,4 +115,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWitness -fuzztime=$(FUZZTIME) ./internal/conformance/
 	$(GO) test -run='^$$' -fuzz=FuzzSchedPlan -fuzztime=$(FUZZTIME) ./internal/sched/
 
-ci: build vet lint fmt-check test race
+ci: build vet lint fmt-check fma-check test race

@@ -726,18 +726,25 @@ func (p *Protocol) evict(now uint64, c core.CoreID, victim cache.Line) {
 	}
 }
 
-// Boundary implements machine.Protocol: self-downgrade dirty shared lines
-// (write-through), then flash self-invalidate all shared lines. Private
-// and read-only lines survive, preserving locality. The write-throughs
-// are pipelined: the first pays full latency, the rest a quarter.
+// Boundary implements machine.Protocol: flash self-invalidate all shared
+// lines, self-downgrading each dirty one (write-through) just before it
+// is dropped. Private and read-only lines survive, preserving locality.
+// The write-throughs are pipelined: the first pays full latency, the
+// rest a quarter. Downgrading inside the invalidation walk relies on a
+// write-through touching only the NoC, the LLC and DRAM, never this L1,
+// so the walk's slot order and each send's start time do not depend on
+// what the walk has already dropped.
 func (p *Protocol) Boundary(now uint64, c core.CoreID) uint64 {
 	m := p.M
 	r := int(c)
 	lat := uint64(flashInvalidateCycles)
 	first := true
-	m.L1[r].ForEach(func(l *cache.Line) {
-		if (l.State != classShared && l.State != lineSharedEager) || !l.Dirty {
-			return
+	n := m.L1[r].InvalidateIf(func(l *cache.Line) bool {
+		if l.State != classShared && l.State != lineSharedEager {
+			return false
+		}
+		if !l.Dirty {
+			return true
 		}
 		home := m.HomeTile(l.Tag)
 		// Word-granularity write-through: only the written bytes move
@@ -746,7 +753,6 @@ func (p *Protocol) Boundary(now uint64, c core.CoreID) uint64 {
 		payload := l.Bits.WriteMask.Count() + machine.MaskBytes
 		sendLat := m.Send(now+lat, r, home, payload)
 		p.writeThrough(now+lat, l.Tag)
-		l.Dirty = false
 		m.IncID(ctrDowngrades, 1)
 		if first {
 			lat += sendLat
@@ -754,9 +760,7 @@ func (p *Protocol) Boundary(now uint64, c core.CoreID) uint64 {
 		} else {
 			lat += sendLat / 4
 		}
-	})
-	n := m.L1[r].InvalidateIf(func(l *cache.Line) bool {
-		return l.State == classShared || l.State == lineSharedEager
+		return true
 	})
 	m.IncID(ctrSelfInvalidations, uint64(n))
 	return lat

@@ -159,21 +159,75 @@ func TestSharedWriteRegistersEagerly(t *testing.T) {
 }
 
 func TestBoundaryDowngradesDirtySharedLines(t *testing.T) {
+	// Lines A, B and C fall in L1 sets 0, 1 and 2 of tiny's 4-set L1.
+	// Core 0 writes each (private, dirty), core 1 reads each (recalled:
+	// shared, core 0 clean), and core 0 writes each again (dirty
+	// shared). D is a line core 0 only reads after core 1 wrote it
+	// (shared, clean); E stays private to core 0.
+	lines := []core.Addr{0x3000, 0x3040, 0x3080}
+	const d, e = core.Addr(0x30c0), core.Addr(0x5000)
+	setup := func(m *machine.Machine, p *Protocol) {
+		now := uint64(0)
+		for _, a := range lines {
+			p.Access(now, 0, acc(core.Write, a, 8))
+			p.Access(now+10, 1, acc(core.Read, a+8, 8))
+			p.Access(now+20, 0, acc(core.Write, a+0x10, 8))
+			now += 30
+		}
+		p.Access(now, 1, acc(core.Write, d, 8))
+		p.Access(now+10, 0, acc(core.Read, d+8, 8))
+		p.Access(now+20, 0, acc(core.Write, e, 8))
+	}
 	m := tiny(2)
 	p := New(m)
-	p.Access(0, 0, acc(core.Write, 0x3000, 8))
-	p.Access(10, 1, acc(core.Read, 0x3008, 8))  // shared via recall; core 0 clean now
-	p.Access(20, 0, acc(core.Write, 0x3010, 8)) // dirty again (shared)
-	lat := p.Boundary(30, 0)
+	setup(m, p)
+	for i, a := range lines {
+		if set := m.L1[0].SetIndex(core.LineOf(a)); set != i {
+			t.Fatalf("line %#x in L1 set %d, want %d", uint64(a), set, i)
+		}
+		if l := m.L1[0].Peek(core.LineOf(a)); l == nil || !l.Dirty || (l.State != classShared && l.State != lineSharedEager) {
+			t.Fatalf("line %#x is not a dirty shared line in core 0's L1: %+v", uint64(a), l)
+		}
+	}
+
+	// The expected latency, replayed on a twin machine in ascending slot
+	// order: the first write-through pays its full send latency, each
+	// later one a quarter. Each moves its written bytes plus the mask.
+	twin := tiny(2)
+	setup(twin, New(twin))
+	const now = 1000
+	want := uint64(flashInvalidateCycles)
+	for i, a := range lines {
+		line := core.LineOf(a)
+		sendLat := twin.Send(now+want, 0, twin.HomeTile(line), 16+machine.MaskBytes)
+		if i == 0 {
+			want += sendLat
+		} else {
+			want += sendLat / 4
+		}
+	}
+
+	lat := p.Boundary(now, 0)
 	m.NextRegion(0)
-	if m.Counter("arc.downgrades") != 1 {
-		t.Errorf("downgrades = %d, want 1", m.Counter("arc.downgrades"))
+	if lat != want {
+		t.Errorf("boundary latency = %d, want %d", lat, want)
 	}
-	if lat <= flashInvalidateCycles {
-		t.Error("downgrade latency not charged")
+	if got := m.Counter("arc.downgrades"); got != 3 {
+		t.Errorf("downgrades = %d, want 3", got)
 	}
-	if m.Counter("arc.selfinvalidations") == 0 {
-		t.Error("no self-invalidation")
+	if got := m.Counter("arc.selfinvalidations"); got != 4 {
+		t.Errorf("self-invalidations = %d, want 4 (A, B, C and D)", got)
+	}
+	if m.Mesh.Stats != twin.Mesh.Stats {
+		t.Errorf("boundary traffic %+v, want %+v", m.Mesh.Stats, twin.Mesh.Stats)
+	}
+	for _, a := range append(lines, d) {
+		if m.L1[0].Peek(core.LineOf(a)) != nil {
+			t.Errorf("shared line %#x survived the boundary", uint64(a))
+		}
+	}
+	if m.L1[0].Peek(core.LineOf(e)) == nil {
+		t.Error("private line self-invalidated")
 	}
 }
 

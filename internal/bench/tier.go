@@ -270,7 +270,7 @@ func runTier(r *Runner) (*Output, error) {
 	geoAchievable := geomean(logAchievable, nPhase)
 	// The wall clock only shows the win when the host has CPUs to run
 	// segments concurrently AND the trace is long enough to amortize the
-	// per-phase machine construction; the critical path is the honest
+	// per-worker machine construction; the critical path is the honest
 	// measure of what the engine's parallelism buys independent of both
 	// (a single-CPU CI runner would otherwise misreport the tier as a
 	// loss). Credit whichever basis is stronger and report both.
@@ -292,8 +292,9 @@ Geomean short-circuit speedup: %.0fx.
 Tier 2 (phase-parallel): barrier phases with disjoint predicted
 footprints simulate on parallel goroutines and stitch into a result
 byte-identical to straight-line (the "bytes" column; FuzzPhasePar
-fuzzes the same property). "phased wall" includes building one fresh
-machine per phase (a fixed cost that amortizes with trace length);
+fuzzes the same property). "phased wall" includes building one machine
+per worker, Reset between its phases (a fixed cost that amortizes with
+trace length);
 "achievable" is straight-line time over the slowest single phase
 segment — the simulation's parallel critical path. Geomean wall
 speedup %.2fx, achievable %.1fx (%s).

@@ -16,23 +16,25 @@ const NoOwner = int16(-1)
 
 // Line is one cache line's bookkeeping. Data values are not simulated —
 // only addresses, states, and metadata, which is all conflict detection
-// and traffic accounting need.
+// and traffic accounting need. The small fields share one word, which
+// keeps a Line at 72 bytes: line arrays are most of a machine's memory.
 type Line struct {
 	Tag   core.Line
 	Valid bool
 	Dirty bool
 	// State is protocol-defined (e.g. MESI states, ARC line classes).
 	State uint8
+	// Owner and Sharers implement the LLC directory: the exclusive
+	// owner if any, and a bitmask of cores with a copy.
+	Owner int16
 	// Bits carries per-line region access metadata (CE: the local
 	// region's read/write bytes; ARC: the current region's touch bits).
 	Bits core.AccessBits
 	// Remote caches the union of other cores' live access bits for the
 	// line (CE uses it to detect conflicts on L1 hits without traffic).
 	Remote core.AccessBits
-	// Sharers and Owner implement the LLC directory: a bitmask of cores
-	// with a copy, and the exclusive owner if any.
+	// Sharers is the directory's copy mask (see Owner).
 	Sharers uint64
-	Owner   int16
 	// Aux is protocol scratch (e.g. the region sequence number that
 	// Bits belongs to).
 	Aux uint64
@@ -106,6 +108,11 @@ type Cache struct {
 	// leave the all-zero state New creates. Reset clears just those
 	// sets.
 	touched []uint64
+	// valid has one bit per slot, mirroring Line.Valid: Insert raises
+	// it, Invalidate, InvalidateIf and Reset lower it. ForEach,
+	// InvalidateIf and Occupancy walk it, so they cost the resident
+	// lines, not the capacity.
+	valid []uint64
 
 	Stats Stats
 }
@@ -124,6 +131,7 @@ func New(cfg Config) *Cache {
 		setMask: uint64(cfg.Sets() - 1),
 		lines:   make([]Line, cfg.Sets()*cfg.Ways),
 		touched: make([]uint64, (cfg.Sets()+63)/64),
+		valid:   make([]uint64, (cfg.Sets()*cfg.Ways+63)/64),
 	}
 }
 
@@ -142,6 +150,9 @@ func (c *Cache) Reset() {
 		for mask != 0 {
 			set := w*64 + bits.TrailingZeros64(mask)
 			clear(c.lines[set*ways : (set+1)*ways])
+			// Whole valid words may be cleared: their bits outside this
+			// set belong to other touched sets or are already zero.
+			clear(c.valid[set*ways>>6 : ((set+1)*ways-1)>>6+1])
 			mask &= mask - 1
 		}
 		c.touched[w] = 0
@@ -203,26 +214,26 @@ func (c *Cache) Peek(line core.Line) *Line {
 func (c *Cache) Insert(line core.Line) (slot *Line, victim Line, evicted bool) {
 	idx := c.setIndex(line)
 	c.touched[idx>>6] |= 1 << (idx & 63)
-	set := c.lines[idx*c.cfg.Ways : (idx+1)*c.cfg.Ways]
-	var free *Line
-	var lru *Line
+	base := idx * c.cfg.Ways
+	set := c.lines[base : base+c.cfg.Ways]
+	free, lru := -1, -1
 	for i := range set {
 		ln := &set[i]
 		if ln.Valid {
 			if ln.Tag == line {
 				panic(fmt.Sprintf("cache %q: double insert of line %#x", c.cfg.Name, uint64(line)))
 			}
-			if lru == nil || ln.lru < lru.lru {
-				lru = ln
+			if lru < 0 || ln.lru < set[lru].lru {
+				lru = i
 			}
-		} else if free == nil {
-			free = ln
+		} else if free < 0 {
+			free = i
 		}
 	}
-	target := free
-	if target == nil {
-		target = lru
-		victim = *target
+	way := free
+	if way < 0 {
+		way = lru
+		victim = set[way]
 		evicted = true
 		c.Stats.Evictions++
 		if victim.Dirty {
@@ -230,40 +241,59 @@ func (c *Cache) Insert(line core.Line) (slot *Line, victim Line, evicted bool) {
 		}
 	}
 	c.tick++
-	*target = Line{Tag: line, Valid: true, Owner: NoOwner, lru: c.tick}
-	return target, victim, evicted
+	i := base + way
+	c.valid[i>>6] |= 1 << (i & 63)
+	slot = &c.lines[i]
+	*slot = Line{Tag: line, Valid: true, Owner: NoOwner, lru: c.tick}
+	return slot, victim, evicted
+}
+
+// drop invalidates the line in slot i.
+func (c *Cache) drop(i int) {
+	c.lines[i] = Line{Owner: NoOwner}
+	c.valid[i>>6] &^= 1 << (i & 63)
 }
 
 // Invalidate drops the line if resident and returns a copy of what was
 // dropped.
 func (c *Cache) Invalidate(line core.Line) (Line, bool) {
-	if ln := c.Peek(line); ln != nil {
-		old := *ln
-		*ln = Line{Owner: NoOwner}
-		return old, true
+	base := c.setIndex(line) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if ln := &c.lines[i]; ln.Valid && ln.Tag == line {
+			old := *ln
+			c.drop(i)
+			return old, true
+		}
 	}
 	return Line{}, false
 }
 
-// InvalidateIf drops every valid line for which pred returns true and
-// returns how many were dropped. ARC's flash self-invalidation uses it.
+// InvalidateIf drops every valid line for which pred returns true, in
+// ascending slot order, and returns how many were dropped. ARC's flash
+// self-invalidation uses it. pred may mutate the line and act on other
+// caches, but must not change this one.
 func (c *Cache) InvalidateIf(pred func(*Line) bool) int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid && pred(&c.lines[i]) {
-			c.lines[i] = Line{Owner: NoOwner}
-			n++
+	for w, mask := range c.valid {
+		for mask != 0 {
+			i := w*64 + bits.TrailingZeros64(mask)
+			mask &= mask - 1
+			if pred(&c.lines[i]) {
+				c.drop(i)
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// ForEach visits every valid line. The callback may mutate the line but
-// must not change Tag or Valid.
+// ForEach visits every valid line in ascending slot order. The callback
+// may mutate the line but must not change Tag or Valid.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			fn(&c.lines[i])
+	for w, mask := range c.valid {
+		for mask != 0 {
+			fn(&c.lines[w*64+bits.TrailingZeros64(mask)])
+			mask &= mask - 1
 		}
 	}
 }
@@ -271,10 +301,8 @@ func (c *Cache) ForEach(fn func(*Line)) {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
-		}
+	for _, mask := range c.valid {
+		n += bits.OnesCount64(mask)
 	}
 	return n
 }

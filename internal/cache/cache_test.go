@@ -177,16 +177,18 @@ func TestSetIndexDistribution(t *testing.T) {
 
 // TestResetMatchesNew drives caches through a seeded mix of every
 // mutating operation and requires Reset to restore exactly what New
-// builds — line array, recency clock, statistics, and an empty
-// touched-set bitmap — even though it clears only the sets Insert
-// flagged. The geometries cover the hashed and unhashed index, and a
-// set count spanning several bitmap words.
+// builds — line array, recency clock, statistics, and empty touched-set
+// and valid-slot bitmaps — even though it clears only the sets Insert
+// flagged. The geometries cover the hashed and unhashed index, a set
+// count spanning several bitmap words, and sets whose slots straddle a
+// valid-bitmap word.
 func TestResetMatchesNew(t *testing.T) {
 	cfgs := []Config{
 		{Name: "plain", SizeBytes: 8 * 4 * core.LineSize, Ways: 4},
 		{Name: "hashed", SizeBytes: 8 * 4 * core.LineSize, Ways: 4, IndexHash: true},
 		{Name: "plain-wide", SizeBytes: 256 * 2 * core.LineSize, Ways: 2},
 		{Name: "hashed-wide", SizeBytes: 256 * 2 * core.LineSize, Ways: 2, IndexHash: true},
+		{Name: "odd-ways", SizeBytes: 64 * 3 * core.LineSize, Ways: 3},
 	}
 	for _, cfg := range cfgs {
 		cfg := cfg
@@ -246,6 +248,117 @@ func TestResetMatchesNew(t *testing.T) {
 				requireFresh(c, fmt.Sprintf("reset after round %d", round))
 				c.Reset()
 				requireFresh(c, fmt.Sprintf("second reset after round %d", round))
+			}
+		})
+	}
+}
+
+// TestValidSlotWalks checks the valid-slot bitmap against a plain model
+// over a seeded mix of Insert, Lookup, Invalidate, InvalidateIf and
+// Reset: after every operation the bitmap agrees with Line.Valid on
+// every slot, ForEach and InvalidateIf visit exactly the valid lines in
+// ascending slot order (what a scan of the line array visits),
+// Occupancy matches, and the resident tags are the model's.
+func TestValidSlotWalks(t *testing.T) {
+	cfgs := []Config{
+		{Name: "direct", SizeBytes: 128 * core.LineSize, Ways: 1},
+		{Name: "odd-ways", SizeBytes: 64 * 3 * core.LineSize, Ways: 3},
+		{Name: "hashed", SizeBytes: 16 * 8 * core.LineSize, Ways: 8, IndexHash: true},
+		{Name: "wide-sets", SizeBytes: 4 * 96 * core.LineSize, Ways: 96},
+	}
+	for _, cfg := range cfgs {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			c := New(cfg)
+			model := map[core.Line]bool{}
+			// scan lists the valid slots the way a walk of the whole line
+			// array finds them.
+			scan := func() []*Line {
+				var out []*Line
+				for i := range c.lines {
+					if c.lines[i].Valid {
+						out = append(out, &c.lines[i])
+					}
+				}
+				return out
+			}
+			check := func(step int, op string) {
+				t.Helper()
+				for i := range c.lines {
+					if bit := c.valid[i>>6]&(1<<(i&63)) != 0; bit != c.lines[i].Valid {
+						t.Fatalf("step %d (%s): slot %d valid bit %v, Line.Valid %v", step, op, i, bit, c.lines[i].Valid)
+					}
+				}
+				want := scan()
+				var got []*Line
+				c.ForEach(func(l *Line) { got = append(got, l) })
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d (%s): ForEach visited %d lines, a scan finds %d (or in another order)", step, op, len(got), len(want))
+				}
+				if c.Occupancy() != len(model) || len(want) != len(model) {
+					t.Fatalf("step %d (%s): occupancy %d, scan %d, model %d", step, op, c.Occupancy(), len(want), len(model))
+				}
+				for _, l := range want {
+					if !model[l.Tag] {
+						t.Fatalf("step %d (%s): line %#x resident but not in the model", step, op, uint64(l.Tag))
+					}
+				}
+			}
+
+			rng := rand.New(rand.NewSource(11))
+			lines := core.Line(3 * cfg.Sets() * cfg.Ways)
+			for step := 0; step < 6000; step++ {
+				line := core.Line(rng.Int63n(int64(lines)))
+				var op string
+				switch k := rng.Intn(20); {
+				case k < 9:
+					op = "insert"
+					if c.Peek(line) == nil {
+						slot, victim, evicted := c.Insert(line)
+						slot.State = uint8(rng.Intn(4))
+						model[line] = true
+						if evicted {
+							delete(model, victim.Tag)
+						}
+					}
+				case k < 13:
+					op = "lookup"
+					if hit := c.Lookup(line) != nil; hit != model[line] {
+						t.Fatalf("step %d: Lookup(%#x) hit=%v, model %v", step, uint64(line), hit, model[line])
+					}
+				case k < 16:
+					op = "invalidate"
+					if _, ok := c.Invalidate(line); ok != model[line] {
+						t.Fatalf("step %d: Invalidate(%#x) = %v, model %v", step, uint64(line), ok, model[line])
+					}
+					delete(model, line)
+				case k < 19:
+					op = "invalidate-if"
+					state := uint8(rng.Intn(4))
+					want := scan()
+					var visited []*Line
+					dropped := 0
+					n := c.InvalidateIf(func(l *Line) bool {
+						visited = append(visited, l)
+						if l.State != state {
+							return false
+						}
+						delete(model, l.Tag)
+						dropped++
+						return true
+					})
+					if !reflect.DeepEqual(visited, want) {
+						t.Fatalf("step %d: InvalidateIf visited %d lines, a scan finds %d (or in another order)", step, len(visited), len(want))
+					}
+					if n != dropped {
+						t.Fatalf("step %d: InvalidateIf reported %d drops, predicate accepted %d", step, n, dropped)
+					}
+				default:
+					op = "reset"
+					c.Reset()
+					clear(model)
+				}
+				check(step, op)
 			}
 		})
 	}

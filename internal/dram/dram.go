@@ -168,7 +168,8 @@ func (m *Memory) observe(now uint64, bytes uint64) {
 	cap := float64(m.cfg.Channels) * m.cfg.BytesPerCycle * float64(m.cfg.Window)
 	for now >= m.winStart+m.cfg.Window {
 		inst := float64(m.winBytes) / cap
-		m.util = 0.5*m.util + 0.5*inst
+		// float64(...) keeps arm64 from fusing the multiply-add (make fma-check).
+		m.util = float64(0.5*m.util) + float64(0.5*inst)
 		if m.util > m.peakUtil {
 			m.peakUtil = m.util
 		}

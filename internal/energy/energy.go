@@ -115,27 +115,32 @@ func NewMeter(model Model) *Meter {
 // Reset zeroes the accumulated energy (machine pooling).
 func (m *Meter) Reset() { m.pj = [numComponents]float64{} }
 
+// The charges below wrap each product in float64(...), which rounds it
+// before the add: without it arm64 fuses the multiply-add into one
+// rounding and its energy bytes could differ from amd64's (make
+// fma-check guards this).
+
 // L1Accesses charges n L1 accesses.
-func (m *Meter) L1Accesses(n uint64) { m.pj[L1] += float64(n) * m.model.L1AccessPJ }
+func (m *Meter) L1Accesses(n uint64) { m.pj[L1] += float64(float64(n) * m.model.L1AccessPJ) }
 
 // LLCAccesses charges n LLC slice accesses.
-func (m *Meter) LLCAccesses(n uint64) { m.pj[LLC] += float64(n) * m.model.LLCAccessPJ }
+func (m *Meter) LLCAccesses(n uint64) { m.pj[LLC] += float64(float64(n) * m.model.LLCAccessPJ) }
 
 // AIMAccesses charges n AIM probes/updates.
-func (m *Meter) AIMAccesses(n uint64) { m.pj[AIM] += float64(n) * m.model.AIMAccessPJ }
+func (m *Meter) AIMAccesses(n uint64) { m.pj[AIM] += float64(float64(n) * m.model.AIMAccessPJ) }
 
 // FlitHops charges n flit-hops of on-chip traffic.
-func (m *Meter) FlitHops(n uint64) { m.pj[NoC] += float64(n) * m.model.FlitHopPJ }
+func (m *Meter) FlitHops(n uint64) { m.pj[NoC] += float64(float64(n) * m.model.FlitHopPJ) }
 
 // DRAMBytes charges n bytes of off-chip traffic.
-func (m *Meter) DRAMBytes(n uint64) { m.pj[DRAM] += float64(n) * m.model.DRAMPerBytePJ }
+func (m *Meter) DRAMBytes(n uint64) { m.pj[DRAM] += float64(float64(n) * m.model.DRAMPerBytePJ) }
 
 // StaticCycles charges leakage for the whole chip (cores cores, aimEntries
 // AIM entries) running for `cycles` cycles.
 func (m *Meter) StaticCycles(cycles uint64, cores, aimEntries int) {
-	perCycle := m.model.StaticCorePJPerCycle*float64(cores) +
-		m.model.StaticAIMPJPerCyclePer1K*float64(aimEntries)/1024
-	m.pj[Static] += float64(cycles) * perCycle
+	perCycle := float64(m.model.StaticCorePJPerCycle*float64(cores)) +
+		float64(m.model.StaticAIMPJPerCyclePer1K*float64(aimEntries)/1024)
+	m.pj[Static] += float64(float64(cycles) * perCycle)
 }
 
 // PJ returns the energy charged to one component, in picojoules.

@@ -183,7 +183,8 @@ func (m *Mesh) observe(now uint64, fh uint64) {
 		// estimate — the only close whose instantaneous term is nonzero,
 		// and therefore the only one that can raise the peak.
 		inst := float64(m.winFlitHops) / (float64(m.cfg.Window) * m.links)
-		m.util = 0.5*m.util + 0.5*inst
+		// float64(...) keeps arm64 from fusing the multiply-add (make fma-check).
+		m.util = float64(0.5*m.util) + float64(0.5*inst)
 		if m.util > m.peakUtil {
 			m.peakUtil = m.util
 		}

@@ -4,9 +4,9 @@
 // phase fence (machine.PhaseFence at every barrier release) makes the
 // machine's transient contention state a pure function of post-barrier
 // traffic. Such phases can be simulated on parallel goroutines, each on
-// its own fresh machine, and the per-phase results stitched into a run
-// byte-identical to the straight-line simulation (FuzzPhasePar and the
-// conformance engine enforce exactly this).
+// a fresh (or freshly Reset) machine, and the per-phase results stitched
+// into a run byte-identical to the straight-line simulation (FuzzPhasePar
+// and the conformance engine enforce exactly this).
 //
 // Eligibility (PlanPhases) is deliberately strict. Beyond footprint
 // disjointness it requires that the straight-line run could never evict —
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"arcsim/internal/cache"
 	"arcsim/internal/core"
@@ -32,10 +33,10 @@ import (
 	"arcsim/internal/trace"
 )
 
-// BuildMachine constructs a fresh machine plus protocol engine for one
-// phase segment. RunPhased calls it once per phase, possibly from
-// concurrent goroutines, so it must be safe for concurrent use (the
-// usual closure over protocols.Build with a value Config is).
+// BuildMachine constructs a fresh machine plus protocol engine for phase
+// segments. RunPhased calls it once per worker goroutine, possibly
+// concurrently, so it must be safe for concurrent use (the usual closure
+// over protocols.Build with a value Config is).
 type BuildMachine func() (*machine.Machine, machine.Protocol, error)
 
 // PhasePlan is a proof, produced by PlanPhases, that a trace's barrier
@@ -209,8 +210,9 @@ func splitPhases(tr *trace.Trace, phases int) []*trace.Trace {
 
 // RunPhased simulates tr phase-parallel under plan (from PlanPhases over
 // the same trace and machine config) and returns a result byte-identical
-// to RunContext on one fresh machine. Each phase runs on its own machine
-// built by build; concurrency is capped at GOMAXPROCS.
+// to RunContext on one fresh machine. At most GOMAXPROCS workers run the
+// phases; each builds one machine with build and Resets it between the
+// phases it runs.
 func RunPhased(ctx context.Context, build BuildMachine, tr *trace.Trace, plan *PhasePlan, opt Options) (*Result, error) {
 	return RunPhasedHooked(ctx, build, tr, plan, opt, nil)
 }
@@ -221,8 +223,8 @@ func RunPhased(ctx context.Context, build BuildMachine, tr *trace.Trace, plan *P
 // experiment times segments this way to compute the critical-path
 // (achievable) speedup on hosts whose GOMAXPROCS hides it; the engine
 // itself stays wall-clock-free, so the hook must not influence results.
-// The semaphore serializes segments when GOMAXPROCS=1, so hook-measured
-// durations are not inflated by preempted neighbors.
+// With GOMAXPROCS=1 one worker runs the segments in turn, so
+// hook-measured durations are not inflated by preempted neighbors.
 func RunPhasedHooked(ctx context.Context, build BuildMachine, tr *trace.Trace, plan *PhasePlan, opt Options, hook func(phase int) func()) (*Result, error) {
 	if plan == nil || plan.Phases() == 0 {
 		return nil, fmt.Errorf("sim: RunPhased needs a non-nil phase plan")
@@ -233,35 +235,58 @@ func RunPhasedHooked(ctx context.Context, build BuildMachine, tr *trace.Trace, p
 	cfgs := make([]machine.Config, phases)
 
 	par := runtime.GOMAXPROCS(0)
+	if par > phases {
+		par = phases
+	}
 	if par < 1 {
 		par = 1
 	}
-	sem := make(chan struct{}, par)
-	done := make(chan int, phases)
+	// Each worker builds one machine and Resets it between its phases:
+	// a Reset pair is byte-identical to a fresh build (the
+	// machine.Protocol contract) and clears only what the last segment
+	// touched, where a build allocates a whole machine and its first
+	// segment faults the memory in.
+	next := make(chan int, phases)
 	for p := 0; p < phases; p++ {
-		go func(p int) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- p }()
-			m, proto, err := build()
-			if err != nil {
-				errs[p] = fmt.Errorf("sim: phase %d machine: %w", p, err)
-				return
-			}
-			cfgs[p] = m.Cfg
-			mode := modeSegment
-			if p == phases-1 {
-				mode = modeSegmentFinal
-			}
-			if hook != nil {
-				stop := hook(p)
-				defer stop()
-			}
-			results[p], errs[p] = runContext(ctx, m, proto, plan.segments[p], opt, mode)
-		}(p)
+		next <- p
 	}
-	for i := 0; i < phases; i++ {
-		<-done
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var m *machine.Machine
+			var proto machine.Protocol
+			for p := range next {
+				if m == nil {
+					var err error
+					if m, proto, err = build(); err != nil {
+						errs[p] = fmt.Errorf("sim: phase %d machine: %w", p, err)
+						m = nil
+						continue
+					}
+				} else {
+					m.Reset()
+					proto.Reset()
+				}
+				cfgs[p] = m.Cfg
+				mode := modeSegment
+				if p == phases-1 {
+					mode = modeSegmentFinal
+				}
+				var stop func()
+				if hook != nil {
+					stop = hook(p)
+				}
+				results[p], errs[p] = runContext(ctx, m, proto, plan.segments[p], opt, mode)
+				if stop != nil {
+					stop()
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	for p := 0; p < phases; p++ {
 		if errs[p] != nil {
 			return nil, errs[p]

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"arcsim/internal/core"
@@ -131,24 +133,35 @@ func TestRunPhasedByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			buildFn := func() (*machine.Machine, machine.Protocol, error) {
-				return protocols.Build(name, cfg)
-			}
-			phased, err := RunPhased(context.Background(), buildFn, tr, plan, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			sj, err := json.Marshal(straight)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pj, err := json.Marshal(phased)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(sj) != string(pj) {
-				t.Errorf("phased result differs from straight-line:\nstraight: %s\nphased:   %s", sj, pj)
+			// Run at the host's GOMAXPROCS and at 1, where one worker
+			// runs every phase and each after the first starts on a
+			// Reset machine.
+			for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+				var builds atomic.Int32
+				buildFn := func() (*machine.Machine, machine.Protocol, error) {
+					builds.Add(1)
+					return protocols.Build(name, cfg)
+				}
+				prev := runtime.GOMAXPROCS(procs)
+				phased, err := RunPhased(context.Background(), buildFn, tr, plan, opt)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := int(builds.Load()), min(procs, plan.Phases()); got != want {
+					t.Errorf("GOMAXPROCS %d: %d machines built, want one per worker (%d)", procs, got, want)
+				}
+				pj, err := json.Marshal(phased)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(sj) != string(pj) {
+					t.Errorf("GOMAXPROCS %d: phased result differs from straight-line:\nstraight: %s\nphased:   %s", procs, sj, pj)
+				}
 			}
 			if straight.Conflicts != 0 {
 				t.Errorf("%s: unexpected conflicts in a DRF trace", name)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"arcsim/internal/aim"
@@ -159,6 +160,14 @@ type runScratch struct {
 	idx    []int
 	ready  []uint64
 	status []coreStatus
+	// win is a winner (tournament) tree over the cores that holds the
+	// default policy's pick at its root, win[1]. Leaf c is
+	// win[size+c], with size the smallest power of two >= n (leaves
+	// past n are padding that never wins), and each inner node holds
+	// the earlier of its two children (see entry). A step changes the
+	// ready time or status of a handful of cores, and each change
+	// re-plays only the log2(size) matches on its leaf's path.
+	win []entry
 
 	// Sync state, lazily created on the first lock/barrier event (most
 	// sweep runs never pay for it) and then retained across pooled
@@ -186,6 +195,14 @@ func getScratch(n int) *runScratch {
 	s.idx = s.idx[:n]
 	s.ready = s.ready[:n]
 	s.status = s.status[:n]
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	if cap(s.win) < 2*size {
+		s.win = make([]entry, 2*size)
+	}
+	s.win = s.win[:2*size]
 	clear(s.idx)
 	clear(s.ready)
 	clear(s.status)
@@ -193,6 +210,64 @@ func getScratch(n int) *runScratch {
 	clear(s.barriers)
 	s.nLocks, s.nBars = 0, 0
 	return s
+}
+
+// entry is one contender of the winner tree: a core's ready time and
+// ID. A core that cannot run (blocked, done, or a padding leaf) enters
+// with the notRunning bit in its ID and the largest ready time, so
+// ordering entries by (ready, ID) puts every running core first, the
+// smallest ready time first among them and the lowest ID first among
+// ties: the tree's root is the default policy's pick.
+type entry struct {
+	ready uint64
+	id    uint32
+}
+
+const notRunning = 1 << 31
+
+// first plays one match: it returns the entry of a and b that comes
+// first in (ready, ID) order. The outcome is data-dependent and
+// mispredicts as a branch, so it is computed without one: the borrow out
+// of the 128-bit difference (b.ready, b.id) - (a.ready, a.id) is 1
+// exactly when b comes first, and selects b by mask.
+func first(a, b entry) entry {
+	_, borrow := bits.Sub64(uint64(b.id), uint64(a.id), 0)
+	_, borrow = bits.Sub64(b.ready, a.ready, borrow)
+	mask := -borrow
+	a.ready ^= (a.ready ^ b.ready) & mask
+	a.id ^= (a.id ^ b.id) & uint32(mask)
+	return a
+}
+
+// entry returns core c's (or padding leaf c's) current contender.
+func (s *runScratch) entry(c int) entry {
+	if c < len(s.status) && s.status[c] == statusRunning {
+		return entry{ready: s.ready[c], id: uint32(c)}
+	}
+	return entry{ready: math.MaxUint64, id: uint32(c) | notRunning}
+}
+
+// initTree fills the winner tree from the cores' initial state.
+func (s *runScratch) initTree() {
+	size := len(s.win) / 2
+	for c := 0; c < size; c++ {
+		s.win[size+c] = s.entry(c)
+	}
+	for k := size - 1; k > 0; k-- {
+		s.win[k] = first(s.win[2*k], s.win[2*k+1])
+	}
+}
+
+// update re-plays the matches on core c's path to the root after c's
+// ready time or status changed, carrying the winner up from the leaf.
+func (s *runScratch) update(c int) {
+	k := len(s.win)/2 + c
+	e := s.entry(c)
+	s.win[k] = e
+	for ; k > 1; k >>= 1 {
+		e = first(e, s.win[k^1])
+		s.win[k>>1] = e
+	}
 }
 
 // newLock registers a recycled (or, past the slab, freshly allocated)
@@ -301,12 +376,16 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 	// segment of a phased run an empty thread means the original thread
 	// ended exactly at the last barrier; it must still take the implicit
 	// final-boundary path below (as the straight-line run does after the
-	// barrier release), so it stays runnable.
+	// barrier release), so it stays runnable. alive counts the cores
+	// not yet done.
+	alive := n
 	for c := 0; c < n; c++ {
 		if len(tr.Threads[c]) == 0 && mode != modeSegmentFinal {
 			status[c] = statusDone
+			alive--
 		}
 	}
+	scratch.initTree()
 
 	var dir *directorState
 	if opt.Director != nil {
@@ -341,27 +420,16 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 			res.Halted = true
 			break
 		}
-		// Pick the runnable core with the smallest ready time.
-		pick := -1
-		live := false
-		for c := 0; c < n; c++ {
-			if status[c] == statusDone {
-				continue
-			}
-			live = true
-			if status[c] != statusRunning {
-				continue
-			}
-			if pick == -1 || ready[c] < ready[pick] {
-				pick = c
-			}
-		}
-		if !live {
+		if alive == 0 {
 			break // all threads finished
 		}
-		if pick == -1 {
+		// The winner tree's root is the runnable core with the smallest
+		// ready time; if it is not running, no core is.
+		root := scratch.win[1]
+		if root.id&notRunning != 0 {
 			return nil, ErrDeadlock
 		}
+		pick := int(root.id)
 		if dir != nil {
 			if p := dir.choose(tr, idx, ready, status); p >= 0 {
 				pick = p
@@ -388,6 +456,8 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 			// was a blocking sync op): close the final region.
 			ready[pick] = now + boundary(now, c)
 			status[pick] = statusDone
+			alive--
+			scratch.update(pick)
 			if dir != nil {
 				dir.d.Stepped(pick, trace.Event{Op: trace.OpEnd}, now)
 			}
@@ -473,6 +543,7 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 						grantAt = ready[w]
 					}
 					ready[w] = grantAt
+					scratch.update(w)
 				}
 			}
 
@@ -496,6 +567,7 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 				for _, w := range bs.waiting {
 					status[w] = statusRunning
 					ready[w] = releaseAt
+					scratch.update(w)
 					m.Send(bs.maxTime, m.SyncHome(ev.Arg), w, machine.CtrlBytes)
 				}
 				ready[pick] = releaseAt
@@ -511,6 +583,7 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 							res.CoreFinish[c2] = releaseAt
 						}
 					}
+					alive = 0
 					if releaseAt > res.Cycles {
 						res.Cycles = releaseAt
 					}
@@ -532,7 +605,9 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 			bLat := boundary(now, c)
 			ready[pick] = now + bLat
 			status[pick] = statusDone
+			alive--
 		}
+		scratch.update(pick)
 
 		if dir != nil {
 			dir.d.Stepped(pick, ev, now)

@@ -65,10 +65,13 @@
 package static
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"arcsim/internal/core"
+	"arcsim/internal/linetab"
 	"arcsim/internal/trace"
 )
 
@@ -164,22 +167,38 @@ type Analysis struct {
 	// so the lookup must not scan the table).
 	locksets   [][]uint32
 	locksetIdx map[string]int32
-	// lines[l] holds the per-region access footprints on line l, grouped
-	// by thread with ascending seq (binary-searchable).
-	lines map[core.Line]*lineBuf
-	// lineCache is a direct-mapped line→buffer cache used only during the
+	// lines holds each touched line's per-region access footprints,
+	// in first-touch order, and lineIdx maps a line to its index there.
+	lines   []lineBuf
+	lineIdx linetab.Table
+	// lineCache is a direct-mapped line→index cache used only during the
 	// walk: accesses have strong line locality (a 64-byte line absorbs
 	// several consecutive accesses, and loops alternate between a handful
-	// of lines), and the per-access map lookup is otherwise the analysis's
-	// dominant cost.
+	// of lines), and the per-access table lookup is otherwise the
+	// analysis's dominant cost.
 	lineCache [lineCacheSize]lineCacheEntry
+	// entrySlab is the unused tail of the chunk record carves each new
+	// line's first entries from, and keyBuf is internLockset's reusable
+	// key encoding: the walk allocates per chunk, not per line or
+	// lockset lookup.
+	entrySlab []lineEntry
+	keyBuf    []byte
 }
+
+// lineBufEntries is how many entries a new line starts with room for,
+// and entryChunk how many entries the slab they come from holds.
+const (
+	lineBufEntries = 2
+	entryChunk     = 512
+)
 
 const lineCacheSize = 4096
 
+// lineCacheEntry caches line's index in Analysis.lines, plus one (the
+// zero entry caches nothing).
 type lineCacheEntry struct {
 	line core.Line
-	buf  *lineBuf
+	idx1 int32
 }
 
 // lineEntry is the merged access footprint of one region on one line.
@@ -189,11 +208,13 @@ type lineEntry struct {
 	bits   core.AccessBits
 }
 
-// lineBuf accumulates one line's entries. lastThread/lastIdx cache the
-// most recent entry so a region's repeat touches of a line merge with a
-// single map lookup (the walk is per-thread, so the cache cannot be
-// invalidated by another thread).
+// lineBuf holds one line's entries, grouped by thread with ascending
+// seq (binary-searchable). lastThread/lastIdx cache the most recent entry
+// so a region's repeat touches of a line merge with a single lookup (the
+// walk is per-thread, so the cache cannot be invalidated by another
+// thread).
 type lineBuf struct {
+	line       core.Line
 	entries    []lineEntry
 	lastThread int32
 	lastIdx    int32
@@ -214,7 +235,6 @@ func Analyze(tr *trace.Trace) (*Analysis, error) {
 		regionLockset: make([][]int32, len(tr.Threads)),
 		phaseStart:    make([][]uint64, len(tr.Threads)),
 		regionAH:      make([][][]int32, len(tr.Threads)),
-		lines:         make(map[core.Line]*lineBuf),
 	}
 	a.internLockset(nil) // index 0: empty set
 	for t := range tr.Threads {
@@ -309,15 +329,14 @@ func (a *Analysis) walkThread(tr *trace.Trace, t int) {
 // the walking region in O(1).
 func (a *Analysis) record(line core.Line, t int, seq uint64, kind core.AccessKind, mask core.ByteMask) {
 	slot := &a.lineCache[(uint64(line)*0x9e3779b97f4a7c15)>>(64-12)]
-	b := slot.buf
-	if b == nil || slot.line != line {
-		b = a.lines[line]
-		if b == nil {
-			b = &lineBuf{lastThread: -1}
-			a.lines[line] = b
+	if slot.idx1 == 0 || slot.line != line {
+		i, ok := a.lineIdx.Get(line)
+		if !ok {
+			i = a.newLine(line)
 		}
-		slot.line, slot.buf = line, b
+		slot.line, slot.idx1 = line, i+1
 	}
+	b := &a.lines[slot.idx1-1]
 	if b.lastThread == int32(t) && b.entries[b.lastIdx].seq == seq {
 		b.entries[b.lastIdx].bits.Add(kind, mask)
 		return
@@ -328,13 +347,37 @@ func (a *Analysis) record(line core.Line, t int, seq uint64, kind core.AccessKin
 	b.entries = append(b.entries, e)
 }
 
+// newLine registers line and returns its index. Its first
+// lineBufEntries entries are carved from the slab: most lines hold one
+// or two entries, so most never allocate, and a line that outgrows its
+// room grows by append.
+func (a *Analysis) newLine(line core.Line) int32 {
+	if len(a.entrySlab) < lineBufEntries {
+		a.entrySlab = make([]lineEntry, entryChunk)
+	}
+	i := int32(len(a.lines))
+	a.lines = append(a.lines, lineBuf{line: line, entries: a.entrySlab[:0:lineBufEntries], lastThread: -1})
+	a.entrySlab = a.entrySlab[lineBufEntries:]
+	a.lineIdx.Put(line, i)
+	return i
+}
+
+// lineEntries returns line's entries, or nil if no region touched it.
+func (a *Analysis) lineEntries(line core.Line) []lineEntry {
+	if i, ok := a.lineIdx.Get(line); ok {
+		return a.lines[i].entries
+	}
+	return nil
+}
+
 // internLockset returns a stable id for the sorted lockset ls, interning
 // it on first sight.
 func (a *Analysis) internLockset(ls []uint32) int32 {
-	key := make([]byte, 0, 4*len(ls))
+	key := a.keyBuf[:0]
 	for _, l := range ls {
 		key = append(key, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
 	}
+	a.keyBuf = key
 	if id, ok := a.locksetIdx[string(key)]; ok {
 		return id
 	}
@@ -379,6 +422,7 @@ type aggKey struct {
 }
 
 type agg struct {
+	key      aggKey
 	bits     core.AccessBits
 	firstSeq uint64
 	count    int
@@ -387,16 +431,14 @@ type agg struct {
 // enumerate builds the predicted-conflict set. Per line, regions are
 // first aggregated by (phase, thread, lockset) — the only attributes the
 // conflict predicate reads — so the pairwise pass is bounded by
-// threads × locksets per phase rather than by region count.
+// threads × locksets per phase rather than by region count. One agg
+// slice serves every line. Lines are visited in first-touch order: no
+// two records share a (line, region pair) key, so the final sort alone
+// fixes the report order.
 func (a *Analysis) enumerate() {
-	lines := make([]core.Line, 0, len(a.lines))
-	for l := range a.lines {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-
-	for _, line := range lines {
-		entries := a.lines[line].entries
+	var aggs []agg
+	for i := range a.lines {
+		line, entries := a.lines[i].line, a.lines[i].entries
 		multi, anyWrite := false, false
 		for _, e := range entries {
 			if e.thread != entries[0].thread {
@@ -412,50 +454,57 @@ func (a *Analysis) enumerate() {
 		if !multi || !anyWrite {
 			continue
 		}
-		aggs := map[aggKey]*agg{}
-		keys := make([]aggKey, 0, 8)
+		// Entries run by thread with ascending seq, and a thread's phase
+		// never decreases with seq, so each (thread, phase) group is one
+		// run of entries: an entry's agg is found among the aggs its
+		// group has opened, which differ only in lockset.
+		aggs = aggs[:0]
+		group := 0
 		for _, e := range entries {
 			k := aggKey{
 				phase:   a.regionPhase[e.thread][e.seq],
 				thread:  e.thread,
 				lockset: a.regionLockset[e.thread][e.seq],
 			}
-			g, ok := aggs[k]
-			if !ok {
-				g = &agg{firstSeq: e.seq}
-				aggs[k] = g
-				keys = append(keys, k)
+			if group < len(aggs) && (aggs[group].key.thread != k.thread || aggs[group].key.phase != k.phase) {
+				group = len(aggs)
 			}
-			g.bits.Merge(e.bits)
-			g.count++
+			i := group
+			for i < len(aggs) && aggs[i].key.lockset != k.lockset {
+				i++
+			}
+			if i == len(aggs) {
+				aggs = append(aggs, agg{key: k, firstSeq: e.seq})
+			}
+			aggs[i].bits.Merge(e.bits)
+			aggs[i].count++
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].phase != keys[j].phase {
-				return keys[i].phase < keys[j].phase
-			}
-			if keys[i].thread != keys[j].thread {
-				return keys[i].thread < keys[j].thread
-			}
-			return keys[i].lockset < keys[j].lockset
+		slices.SortFunc(aggs, func(x, y agg) int {
+			return cmp.Or(
+				cmp.Compare(x.key.phase, y.key.phase),
+				cmp.Compare(x.key.thread, y.key.thread),
+				cmp.Compare(x.key.lockset, y.key.lockset),
+			)
 		})
-		for i, ki := range keys {
-			for _, kj := range keys[i+1:] {
-				if kj.phase != ki.phase {
-					break // keys are phase-sorted
+		for i := range aggs {
+			gi := &aggs[i]
+			for j := i + 1; j < len(aggs); j++ {
+				gj := &aggs[j]
+				if gj.key.phase != gi.key.phase {
+					break // aggs are phase-sorted
 				}
-				if kj.thread == ki.thread || !a.disjoint(ki.lockset, kj.lockset) {
+				if gj.key.thread == gi.key.thread || !a.disjoint(gi.key.lockset, gj.key.lockset) {
 					continue
 				}
-				gi, gj := aggs[ki], aggs[kj]
 				clash := clashBytes(gi.bits, gj.bits)
 				if clash == 0 {
 					continue
 				}
 				pc := PredictedConflict{
 					Line:    line,
-					Phase:   int(ki.phase),
-					RegionA: core.RegionID{Core: core.CoreID(ki.thread), Seq: gi.firstSeq},
-					RegionB: core.RegionID{Core: core.CoreID(kj.thread), Seq: gj.firstSeq},
+					Phase:   int(gi.key.phase),
+					RegionA: core.RegionID{Core: core.CoreID(gi.key.thread), Seq: gi.firstSeq},
+					RegionB: core.RegionID{Core: core.CoreID(gj.key.thread), Seq: gj.firstSeq},
 					AWrites: gi.bits.WriteMask&gj.bits.Touched() != 0,
 					BWrites: gj.bits.WriteMask&gi.bits.Touched() != 0,
 					Bytes:   clash,
@@ -474,24 +523,15 @@ func (a *Analysis) enumerate() {
 	// deterministic, but downstream artifacts (-analyze JSON, witness
 	// reports) pin this explicit order, independent of how enumeration
 	// groups records.
-	sort.Slice(a.conflicts, func(i, j int) bool {
-		x, y := a.conflicts[i], a.conflicts[j]
-		if x.Line != y.Line {
-			return x.Line < y.Line
-		}
-		if x.RegionA.Core != y.RegionA.Core {
-			return x.RegionA.Core < y.RegionA.Core
-		}
-		if x.RegionA.Seq != y.RegionA.Seq {
-			return x.RegionA.Seq < y.RegionA.Seq
-		}
-		if x.RegionB.Core != y.RegionB.Core {
-			return x.RegionB.Core < y.RegionB.Core
-		}
-		if x.RegionB.Seq != y.RegionB.Seq {
-			return x.RegionB.Seq < y.RegionB.Seq
-		}
-		return x.Phase < y.Phase
+	slices.SortFunc(a.conflicts, func(x, y PredictedConflict) int {
+		return cmp.Or(
+			cmp.Compare(x.Line, y.Line),
+			cmp.Compare(x.RegionA.Core, y.RegionA.Core),
+			cmp.Compare(x.RegionA.Seq, y.RegionA.Seq),
+			cmp.Compare(x.RegionB.Core, y.RegionB.Core),
+			cmp.Compare(x.RegionB.Seq, y.RegionB.Seq),
+			cmp.Compare(x.Phase, y.Phase),
+		)
 	})
 }
 
@@ -522,10 +562,7 @@ func (a *Analysis) Stats() Stats { return a.stats }
 // footprint returns region r's access footprint on line, if it touched
 // the line. Entries per line are grouped by thread with ascending seq.
 func (a *Analysis) footprint(line core.Line, r core.RegionID) (core.AccessBits, bool) {
-	var entries []lineEntry
-	if b := a.lines[line]; b != nil {
-		entries = b.entries
-	}
+	entries := a.lineEntries(line)
 	i := sort.Search(len(entries), func(i int) bool {
 		e := entries[i]
 		if e.thread != int32(r.Core) {
@@ -603,9 +640,9 @@ func (a *Analysis) PhaseStarts() [][]uint64 {
 // planner uses this to build per-phase footprints without re-walking the
 // trace. Iteration order is unspecified.
 func (a *Analysis) ForEachLineTouch(fn func(line core.Line, thread, phase int, wrote bool)) {
-	for line, b := range a.lines {
+	for _, b := range a.lines {
 		for _, e := range b.entries {
-			fn(line, int(e.thread), int(a.regionPhase[e.thread][e.seq]), e.bits.WriteMask != 0)
+			fn(b.line, int(e.thread), int(a.regionPhase[e.thread][e.seq]), e.bits.WriteMask != 0)
 		}
 	}
 }
@@ -663,14 +700,14 @@ func (a *Analysis) RefutesPair(r1, r2 core.RegionID) bool {
 // clashing counts all byte-clashing pairs, so clashing == refuted means
 // the whole record is provably unrealizable.
 func (a *Analysis) WitnessPairs(pc PredictedConflict, max int) (pairs [][2]core.RegionID, clashing, refuted int) {
-	b := a.lines[pc.Line]
-	if b == nil || !a.regionKnown(pc.RegionA) || !a.regionKnown(pc.RegionB) {
+	entries := a.lineEntries(pc.Line)
+	if entries == nil || !a.regionKnown(pc.RegionA) || !a.regionKnown(pc.RegionB) {
 		return nil, 0, 0
 	}
 	side := func(ref core.RegionID) []lineEntry {
 		var out []lineEntry
 		ls := a.regionLockset[ref.Core][ref.Seq]
-		for _, e := range b.entries {
+		for _, e := range entries {
 			if e.thread != int32(ref.Core) {
 				continue
 			}

@@ -315,13 +315,19 @@ func TestWorkloadSuiteVerdicts(t *testing.T) {
 	}
 }
 
+// BenchmarkAnalyze times the analyzer on STAT's inputs: every catalog
+// workload at 16 threads and scale 0.25, the paper-sweep configuration.
 func BenchmarkAnalyze(b *testing.B) {
-	tr := workload.Catalog()[0].Build(workload.Params{Threads: 32, Scale: 0.25, Seed: 1})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := static.Analyze(tr); err != nil {
-			b.Fatal(err)
-		}
+	for _, spec := range workload.Catalog() {
+		tr := spec.Build(workload.Params{Threads: 16, Scale: 0.25, Seed: 1})
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := static.Analyze(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
