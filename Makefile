@@ -63,15 +63,16 @@ lint:
 # Race-enabled pass over the concurrent subset: the parallel experiment
 # harness (worker pool + singleflight memo), the machine pool its
 # workers share (and a daemon's workers share across seeds), the engine
-# it drives (now phase-parallel), the trace/workload layers it fans
-# goroutines over, the differential conformance checker, the daemon's
-# service + store layers and the peer mesh federating them, the job-API
-# client, and the cost-model scheduler that fans sweeps across daemons
-# (core state machine, fleet driver, sim harness).
+# it drives (now phase-parallel), the witness tier's run-ahead replays,
+# the trace/workload layers it fans goroutines over, the differential
+# conformance checker, the daemon's service + store layers and the peer
+# mesh federating them, the job-API client, and the cost-model scheduler
+# that fans sweeps across daemons (core state machine, fleet driver, sim
+# harness).
 race:
 	$(GO) test -race -short ./internal/bench/ ./internal/protocols/ ./internal/sim/ ./internal/conformance/ \
 		./internal/server/ ./internal/store/ ./internal/mesh/ ./internal/client/ ./internal/static/ \
-		./internal/trace/ ./internal/workload/ \
+		./internal/static/witness/ ./internal/trace/ ./internal/workload/ \
 		./internal/sched/ ./internal/sched/fleet/ ./internal/sched/simtest/
 
 fmt-check:

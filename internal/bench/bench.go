@@ -491,7 +491,9 @@ func (r *Runner) Analysis(wl string, cores int) (*static.Analysis, error) {
 // reasoning, or left unwitnessed within the default budget. Unlike
 // Analysis, an examination costs simulations (one baseline plus the
 // directed replays), so the memo matters: however many experiments and
-// views consult a trace identity, it is examined once.
+// views consult a trace identity, it is examined once. The examination
+// runs up to cfg.Jobs directed replays at once on the Runner's pool; its
+// report is the same at every Jobs.
 func (r *Runner) WitnessReport(wl string, cores int) (*witness.Report, error) {
 	return r.witnesses.do(traceKey{wl, cores}, func() (*witness.Report, error) {
 		start := time.Now()
@@ -500,7 +502,7 @@ func (r *Runner) WitnessReport(wl string, cores int) (*witness.Report, error) {
 		if err == nil {
 			var an *static.Analysis
 			if an, err = r.Analysis(wl, cores); err == nil {
-				rep, err = witness.Examine(tr, an, witness.Options{})
+				rep, err = witness.Examine(tr, an, witness.Options{Jobs: r.cfg.Jobs, Pool: r.pool})
 			}
 		}
 		r.statMu.Lock()

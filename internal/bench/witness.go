@@ -112,7 +112,8 @@ func fitError(jobs []witJob, est func(witJob) float64) float64 {
 // Like CONF and STAT it is self-contained (no Plan): generated programs
 // bypass the memo, and the cost-model half needs wall-clock timings
 // measured here, on pooled machines. The generated-program examinations
-// parallelize under cfg.Jobs; the timing pass runs sequentially
+// parallelize under cfg.Jobs, each running its replays serially on the
+// Runner's pool; the timing pass runs sequentially
 // afterwards so measurements are not inflated by concurrent
 // simulations.
 func runWitness(r *Runner) (*Output, error) {
@@ -139,7 +140,7 @@ func runWitness(r *Runner) (*Output, error) {
 		an, err := static.Analyze(prog.Trace)
 		if err == nil {
 			start := time.Now()
-			s.rep, err = witness.Examine(prog.Trace, an, witness.Options{})
+			s.rep, err = witness.Examine(prog.Trace, an, witness.Options{Pool: r.pool})
 			r.record(fmt.Sprintf("wit/%s/s%d", prog.Cfg.Kind(), seed), time.Since(start))
 		}
 		s.err = err
@@ -213,7 +214,7 @@ func runWitness(r *Runner) (*Output, error) {
 			return nil, fmt.Errorf("wit: analyzing %s: %w", tr.Name, err)
 		}
 		start := time.Now()
-		rep, err := witness.Examine(tr, an, witness.Options{})
+		rep, err := witness.Examine(tr, an, witness.Options{Pool: r.pool})
 		if err != nil {
 			return nil, fmt.Errorf("wit: examining %s: %w", tr.Name, err)
 		}

@@ -41,7 +41,8 @@ func runDirected(t *testing.T, prog *Program, d sim.Director) *sim.Result {
 //     result byte-identically (the directed hook perturbs nothing);
 //
 //   - witness validity: every Confirmed prediction ships a directive
-//     whose replay detects a conflict of that record;
+//     whose replay detects a conflict of that record, and the report
+//     is the same when replays run ahead on two goroutines;
 //
 //   - refutation soundness: a refuted pair (static.RefutesPair) is
 //     never detected — not by the default schedule, not by the witness
@@ -95,9 +96,20 @@ func FuzzWitness(f *testing.F) {
 		noRefuted(runDirected(t, prog, witness.NewRandomDirector(schedSeed)), "random")
 
 		// Witness validity on a small budget.
-		rep, err := witness.Examine(prog.Trace, an, witness.Options{MaxReplays: 8, PairLimit: 2, Oracle: true})
+		opt := witness.Options{MaxReplays: 8, PairLimit: 2, Oracle: true}
+		rep, err := witness.Examine(prog.Trace, an, opt)
 		if err != nil {
 			t.Fatalf("Examine: %v\n%s", err, renderTrace(prog.Trace))
+		}
+		// Run-ahead: replays started ahead of the budget walk on two
+		// goroutines must leave the serial report unchanged.
+		opt.Jobs = 2
+		par, err := witness.Examine(prog.Trace, an, opt)
+		if err != nil {
+			t.Fatalf("Examine at 2 jobs: %v\n%s", err, renderTrace(prog.Trace))
+		}
+		if !reflect.DeepEqual(par, rep) {
+			t.Fatalf("Examine at 2 jobs differs from the serial report\n%s", renderTrace(prog.Trace))
 		}
 		for _, p := range rep.Predictions {
 			if p.Status != witness.Confirmed {

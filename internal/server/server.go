@@ -260,7 +260,10 @@ func New(cfg Config) *Server {
 		now:           time.Now,
 		heartbeat:     5 * time.Second,
 	}
-	base := bench.Config{Progress: s.cfg.Progress, Tier: s.cfg.Tier}
+	// Jobs 1: the workers are the daemon's parallelism, so a -witness
+	// job's examination runs its replays serially beside the others'
+	// jobs instead of on GOMAXPROCS goroutines of its own.
+	base := bench.Config{Progress: s.cfg.Progress, Tier: s.cfg.Tier, Jobs: 1}
 	switch {
 	case s.cfg.Mesh != nil:
 		// Local store first, then a read-through across healthy peers;

@@ -124,3 +124,17 @@ func TestWitnessOffExportsNothing(t *testing.T) {
 		t.Errorf("witness metrics exported with the tier off:\n%s", metrics)
 	}
 }
+
+// TestRunnersExamineSerially pins the daemon's CPU bound: its workers are
+// its parallelism, so the base Runner and every Runner derived from it
+// run a -witness examination's replays one at a time (Jobs 1) rather
+// than on GOMAXPROCS goroutines beside the other workers' jobs.
+func TestRunnersExamineSerially(t *testing.T) {
+	srv := New(Config{Workers: 2, QueueDepth: 4, Witness: true})
+	if got := srv.base.Cfg().Jobs; got != 1 {
+		t.Errorf("base Runner Jobs = %d, want 1", got)
+	}
+	if got := srv.runner(JobSpec{Scale: 0.05, Seed: 7}).Cfg().Jobs; got != 1 {
+		t.Errorf("derived Runner Jobs = %d, want 1", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"arcsim/internal/core"
 	"arcsim/internal/machine"
+	"arcsim/internal/trace"
 	"arcsim/internal/workload"
 )
 
@@ -20,10 +21,22 @@ func (nullProtocol) Access(uint64, core.CoreID, core.Access) uint64 { return 2 }
 func (nullProtocol) Boundary(uint64, core.CoreID) uint64            { return 1 }
 func (nullProtocol) Reset()                                         {}
 
+// holdOne directs every step as a co-timing director does: it holds one
+// core, the highest-numbered, and steps the default pick among the
+// others, so that core runs only when no other can. Each step asks
+// DefaultExcept, which pays its O(log n) withdraw-and-restore path
+// whenever the held core is the winner tree's pick.
+type holdOne struct{}
+
+func (holdOne) Pick(h *Sched) int                { return h.DefaultExcept(h.Cores()-1, -1) }
+func (holdOne) Stepped(int, trace.Event, uint64) {}
+
 // BenchmarkEngineLoop measures the engine loop apart from protocol cost:
 // fluidanimate, the lock- and barrier-heavy catalog workload, on the null
 // protocol at 16 and 64 cores. The caches are shrunk because the null
-// protocol never touches them.
+// protocol never touches them. The directed cases run the same loop
+// under holdOne, so a directed step's ns/event, like an undirected
+// one's, should not grow with the core count.
 func BenchmarkEngineLoop(b *testing.B) {
 	spec, ok := workload.ByName("fluidanimate")
 	if !ok {
@@ -37,18 +50,24 @@ func BenchmarkEngineLoop(b *testing.B) {
 		cfg.LLCSliceBytes = 64 * core.LineSize
 		cfg.LLCWays = 4
 		m := machine.New(cfg)
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				m.Reset()
-				res, err := Run(m, nullProtocol{}, tr, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
+		for _, opt := range []Options{{}, {Director: holdOne{}}} {
+			name := strconv.Itoa(n)
+			if opt.Director != nil {
+				name = "directed/" + name
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				var events uint64
+				for i := 0; i < b.N; i++ {
+					m.Reset()
+					res, err := Run(m, nullProtocol{}, tr, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += res.Events
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			})
+		}
 	}
 }

@@ -49,13 +49,13 @@ func TestDefaultDirectorIdentity(t *testing.T) {
 // a core that is not runnable.
 type invalidDirector struct{ step int }
 
-func (d *invalidDirector) Pick(cores []CoreState) int {
+func (d *invalidDirector) Pick(h *Sched) int {
 	d.step++
 	if d.step%2 == 0 {
-		return len(cores) + 3
+		return h.Cores() + 3
 	}
-	for c, cs := range cores {
-		if !cs.Runnable {
+	for c := range h.Cores() {
+		if !h.Core(c).Runnable {
 			return c
 		}
 	}
@@ -84,15 +84,16 @@ type recordingDirector struct {
 	maxRegion  []uint64
 }
 
-func (d *recordingDirector) Pick(cores []CoreState) int {
+func (d *recordingDirector) Pick(h *Sched) int {
 	if d.maxRegion == nil {
-		d.maxRegion = make([]uint64, len(cores))
+		d.maxRegion = make([]uint64, h.Cores())
 	}
-	for c, cs := range cores {
-		if cs.Region < d.maxRegion[c] {
+	for c := range h.Cores() {
+		r := h.Core(c).Region
+		if r < d.maxRegion[c] {
 			panic("region sequence went backwards")
 		}
-		d.maxRegion[c] = cs.Region
+		d.maxRegion[c] = r
 	}
 	return -1
 }
@@ -132,9 +133,9 @@ func TestDirectorObservesEveryEvent(t *testing.T) {
 // satisfies the engine's invariants (oracle agreement, event parity).
 type reverseDirector struct{}
 
-func (reverseDirector) Pick(cores []CoreState) int {
-	for c := len(cores) - 1; c >= 0; c-- {
-		if cores[c].Runnable {
+func (reverseDirector) Pick(h *Sched) int {
+	for c := h.Cores() - 1; c >= 0; c-- {
+		if h.Core(c).Runnable {
 			return c
 		}
 	}

@@ -3,11 +3,23 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"arcsim/internal/trace"
 	"arcsim/internal/workload"
 )
+
+// view builds every core's state from the handle: the O(n) per-step
+// view the engine once passed to Pick, kept for the test directors that
+// scan all cores.
+func view(h *Sched) []CoreState {
+	cores := make([]CoreState, h.Cores())
+	for c := range cores {
+		cores[c] = h.Core(c)
+	}
+	return cores
+}
 
 // scanDirector checks the engine's pick against the linear scan the
 // winner tree replaced. It defers every pick, computes what the scan
@@ -23,10 +35,11 @@ type scanDirector struct {
 	err     error
 }
 
-func (d *scanDirector) Pick(cores []CoreState) int {
+func (d *scanDirector) Pick(h *Sched) int {
 	d.want = -1
+	cores := view(h)
 	if d.inner != nil {
-		if p := d.inner.Pick(cores); p >= 0 && p < len(cores) && cores[p].Runnable {
+		if p := d.inner.Pick(h); p >= 0 && p < len(cores) && cores[p].Runnable {
 			return p
 		}
 	}
@@ -60,13 +73,13 @@ type everyThird struct {
 	run  []int
 }
 
-func (d *everyThird) Pick(cores []CoreState) int {
+func (d *everyThird) Pick(h *Sched) int {
 	d.step++
 	if d.step%3 != 0 {
 		return -1
 	}
 	d.run = d.run[:0]
-	for c, cs := range cores {
+	for c, cs := range view(h) {
 		if cs.Runnable {
 			d.run = append(d.run, c)
 		}
@@ -109,5 +122,76 @@ func TestSchedulerMatchesLinearScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDefaultExceptMatchesScan pins the handle's exclusion query to a
+// scan over random core states: the runnable core with the smallest
+// ready time, lowest ID first, among those not excluded, or -1. Ready
+// times come from a small range so ties are common, and the share of
+// running cores varies so that trials with no, one and two runnable
+// cores occur. Each trial asks with none, one and both cores excluded,
+// with excluded cores that are not running, out-of-range arguments and
+// every runnable core excluded, and requires the winner tree to be left
+// exactly as it was.
+func TestDefaultExceptMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var allExcluded, idleExcluded int
+	for _, n := range []int{1, 2, 3, 5, 12, 16, 33, 64} {
+		s := getScratch(n)
+		h := &Sched{s: s, region: make([]uint64, n)}
+		scan := func(a, b int) int {
+			pick := -1
+			for c := range n {
+				if c == a || c == b || s.status[c] != statusRunning {
+					continue
+				}
+				if pick < 0 || s.ready[c] < s.ready[pick] {
+					pick = c
+				}
+			}
+			return pick
+		}
+		for trial := 0; trial < 300; trial++ {
+			pRun := rng.Float64()
+			var running, idle []int
+			for c := range n {
+				s.ready[c] = uint64(rng.Intn(6))
+				s.status[c] = statusRunning
+				if rng.Float64() >= pRun {
+					s.status[c] = []coreStatus{statusBlockedLock, statusBlockedBarrier, statusDone}[rng.Intn(3)]
+					idle = append(idle, c)
+				} else {
+					running = append(running, c)
+				}
+			}
+			s.initTree()
+			tree := slices.Clone(s.win)
+			pick := func() int { return rng.Intn(n) }
+			asks := [][2]int{{-1, -1}, {pick(), -1}, {-1, pick()}, {pick(), pick()}, {pick(), pick()}, {n + 3, -7}}
+			if len(idle) > 0 {
+				c := idle[rng.Intn(len(idle))]
+				asks = append(asks, [2]int{c, -1}, [2]int{pick(), c})
+				idleExcluded++
+			}
+			if len(running) > 0 && len(running) <= 2 {
+				a, b := running[0], running[len(running)-1]
+				asks = append(asks, [2]int{a, b}, [2]int{b, a})
+				allExcluded++
+			}
+			for _, ab := range asks {
+				a, b := ab[0], ab[1]
+				if got, want := h.DefaultExcept(a, b), scan(a, b); got != want {
+					t.Fatalf("%d cores, trial %d: DefaultExcept(%d, %d) = %d, the scan picks %d", n, trial, a, b, got, want)
+				}
+				if !slices.Equal(s.win, tree) {
+					t.Fatalf("%d cores, trial %d: DefaultExcept(%d, %d) left the winner tree changed", n, trial, a, b)
+				}
+			}
+		}
+		scratchPool.Put(s)
+	}
+	if allExcluded == 0 || idleExcluded == 0 {
+		t.Fatalf("every-runnable-excluded asked %d times, idle-core exclusion %d times", allExcluded, idleExcluded)
 	}
 }

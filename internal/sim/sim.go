@@ -270,6 +270,11 @@ func (s *runScratch) update(c int) {
 	}
 }
 
+// running reports whether c is a core that can step now.
+func (s *runScratch) running(c int) bool {
+	return c >= 0 && c < len(s.status) && s.status[c] == statusRunning
+}
+
 // newLock registers a recycled (or, past the slab, freshly allocated)
 // lockState under id.
 func (s *runScratch) newLock(id uint32) *lockState {
@@ -389,7 +394,7 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 
 	var dir *directorState
 	if opt.Director != nil {
-		dir = newDirectorState(opt.Director, n)
+		dir = newDirectorState(opt.Director, tr, scratch)
 	}
 
 	boundary := func(now uint64, c core.CoreID) uint64 {
@@ -431,7 +436,7 @@ func runContext(ctx context.Context, m *machine.Machine, proto machine.Protocol,
 		}
 		pick := int(root.id)
 		if dir != nil {
-			if p := dir.choose(tr, idx, ready, status); p >= 0 {
+			if p := dir.choose(); p >= 0 {
 				pick = p
 			}
 		}

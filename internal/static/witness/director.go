@@ -76,52 +76,51 @@ func newCoTimer(d Directive) *coTimer {
 	return ct
 }
 
-func (ct *coTimer) Pick(cores []sim.CoreState) int {
+// Pick asks the scheduler about the two target cores only. When neither
+// is held it defers: the default pick is then the runnable core with the
+// smallest ready time, lowest ID first, which is the co-timer's pick
+// too. Otherwise it takes the default pick among the cores it does not
+// hold, so a step costs O(log n) in the core count.
+func (ct *coTimer) Pick(h *sim.Sched) int {
 	if ct.met || ct.dead {
 		return -1
 	}
+	var cs [2]sim.CoreState
 	for s := 0; s < 2; s++ {
-		cs := cores[ct.tc[s]]
-		if cs.Region > ct.ts[s] || cs.Done {
+		cs[s] = h.Core(ct.tc[s])
+		if cs[s].Region > ct.ts[s] || cs[s].Done {
 			ct.dead = true
 			return -1
 		}
 	}
 	sec := 1 - ct.primary
-	primIn := cores[ct.tc[ct.primary]].Region == ct.ts[ct.primary]
-	secCS := cores[ct.tc[sec]]
+	primIn := cs[ct.primary].Region == ct.ts[ct.primary]
 	// The secondary is "ready" once it is parked at its region's entry
 	// boundary (or already inside — a seq-0 region has no door).
-	secReady := secCS.Region == ct.ts[sec] ||
-		(secCS.Region+1 == ct.ts[sec] && boundaryNext(secCS))
-	held := func(c int) bool {
-		for s := 0; s < 2; s++ {
-			if c != ct.tc[s] {
-				continue
-			}
-			cs := cores[c]
-			if cs.Region == ct.ts[s] && boundaryNext(cs) {
-				return true // hold the entered target region open
-			}
-			if s == ct.primary && !primIn && !secReady {
-				return true // park the primary until the secondary is at its door
-			}
-			if s == sec && !primIn && cs.Region+1 == ct.ts[s] && boundaryNext(cs) {
-				return true // hold the secondary at the door
-			}
+	secReady := cs[sec].Region == ct.ts[sec] ||
+		(cs[sec].Region+1 == ct.ts[sec] && boundaryNext(cs[sec]))
+	held := func(s int) bool {
+		switch {
+		case cs[s].Region == ct.ts[s] && boundaryNext(cs[s]):
+			return true // hold the entered target region open
+		case s == ct.primary && !primIn && !secReady:
+			return true // park the primary until the secondary is at its door
+		case s == sec && !primIn && cs[s].Region+1 == ct.ts[s] && boundaryNext(cs[s]):
+			return true // hold the secondary at the door
 		}
 		return false
 	}
-	pick := -1
-	for c, cs := range cores {
-		if !cs.Runnable || held(c) {
-			continue
-		}
-		if pick == -1 || cs.Ready < cores[pick].Ready {
-			pick = c
-		}
+	a, b := -1, -1
+	if held(0) {
+		a = ct.tc[0]
 	}
-	return pick // -1 when all runnable cores are held: defer
+	if held(1) {
+		b = ct.tc[1]
+	}
+	if a < 0 && b < 0 {
+		return -1
+	}
+	return h.DefaultExcept(a, b) // -1 when all runnable cores are held: defer
 }
 
 func (ct *coTimer) Stepped(c int, ev trace.Event, now uint64) {
@@ -167,10 +166,10 @@ func NewRandomDirector(seed uint64) *RandomDirector {
 	return &RandomDirector{s: seed}
 }
 
-func (r *RandomDirector) Pick(cores []sim.CoreState) int {
+func (r *RandomDirector) Pick(h *sim.Sched) int {
 	n := 0
-	for _, cs := range cores {
-		if cs.Runnable {
+	for c := range h.Cores() {
+		if h.Core(c).Runnable {
 			n++
 		}
 	}
@@ -181,8 +180,8 @@ func (r *RandomDirector) Pick(cores []sim.CoreState) int {
 	r.s ^= r.s >> 7
 	r.s ^= r.s << 17
 	k := int((r.s >> 1) % uint64(n))
-	for c, cs := range cores {
-		if !cs.Runnable {
+	for c := range h.Cores() {
+		if !h.Core(c).Runnable {
 			continue
 		}
 		if k == 0 {

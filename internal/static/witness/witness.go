@@ -25,6 +25,7 @@ package witness
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"arcsim/internal/core"
 	"arcsim/internal/machine"
@@ -152,6 +153,16 @@ type Options struct {
 	// Oracle mirrors every replay into the golden detector, turning
 	// each witness run into a conformance check too.
 	Oracle bool
+	// Jobs bounds the directed replays an examination runs at once. 0
+	// or 1 runs them one after another on the caller's goroutine. More
+	// start replays ahead of the budget walk, which still consumes
+	// their verdicts in record order, so the report is the same at
+	// every value.
+	Jobs int
+	// Pool supplies the machine pairs an examination runs on (a sweep's
+	// or a daemon's pool); nil keeps a pool local to the examination.
+	// Replay ignores it: it always builds afresh.
+	Pool *protocols.Pool
 }
 
 func (o Options) normalized() Options {
@@ -196,10 +207,11 @@ func scheduleFault(err error) bool {
 	return errors.Is(err, sim.ErrDeadlock) || errors.Is(err, sim.ErrMaxCycles)
 }
 
-// confirmsRecord reports whether res detected a conflict belonging to
-// record pc, and if so which region pair.
-func confirmsRecord(an *static.Analysis, pc static.PredictedConflict, res *sim.Result) (core.RegionID, core.RegionID, bool) {
-	for _, ex := range res.Exceptions {
+// confirmsRecord reports whether one of exs (a run's exceptions, in
+// detection order) is a conflict belonging to record pc, and if so
+// which region pair the first such conflict names.
+func confirmsRecord(an *static.Analysis, pc static.PredictedConflict, exs []core.Exception) (core.RegionID, core.RegionID, bool) {
+	for _, ex := range exs {
 		c := ex.Conflict
 		if c.Line == pc.Line && an.RecordContains(pc, c.First, c.Second) {
 			return c.First, c.Second, true
@@ -230,7 +242,7 @@ func replay(pool *protocols.Pool, tr *trace.Trace, an *static.Analysis, pc stati
 		}
 		return false, nil, err
 	}
-	_, _, ok := confirmsRecord(an, pc, res)
+	_, _, ok := confirmsRecord(an, pc, res.Exceptions)
 	return ok, res, nil
 }
 
@@ -264,68 +276,60 @@ func Examine(tr *trace.Trace, an *static.Analysis, opt Options) (*Report, error)
 	if len(records) == 0 {
 		return rep, nil
 	}
-	// Tier 2 (tier 1 is the per-record refutation below, which is
-	// free): one default-schedule run confirms, at the cost of a single
-	// simulation, every record today's interleaving already detects.
-	// Lazy — a fully refuted program never simulates — and tolerant of
-	// programs whose default schedule deadlocks (they just detect
-	// nothing by default).
-	var pool protocols.Pool
-	var base *sim.Result
-	baseline := func() (*sim.Result, error) {
-		if base != nil {
-			return base, nil
-		}
-		res, err := run(&pool, tr, nil, opt)
-		if err != nil && !scheduleFault(err) {
-			return nil, fmt.Errorf("witness: baseline run: %w", err)
-		}
-		if res == nil {
-			res = &sim.Result{}
-		}
-		base = res
-		return base, nil
+	pool := opt.Pool
+	if pool == nil {
+		pool = new(protocols.Pool)
 	}
-	for _, pc := range records {
-		p := Prediction{Conflict: pc, Status: Unwitnessed}
+	rep.Predictions = make([]Prediction, len(records))
+	// Tier 1 is the per-record refutation, which is free. Tier 2: one
+	// default-schedule run confirms, at the cost of a single
+	// simulation, every record today's interleaving already detects.
+	// It runs lazily — a fully refuted program never simulates — and
+	// tolerates programs whose default schedule deadlocks (they just
+	// detect nothing by default). Its exceptions are grouped by line
+	// once, in detection order, so each record scans only its own
+	// line's and still finds the first match.
+	var byLine map[core.Line][]core.Exception
+	var targets []target
+	for i, pc := range records {
+		p := &rep.Predictions[i]
+		*p = Prediction{Conflict: pc, Status: Unwitnessed}
 		pairs, clashing, refuted := an.WitnessPairs(pc, opt.PairLimit)
 		p.Clashing, p.RefutedPairs = clashing, refuted
-		switch {
-		case clashing > 0 && refuted == clashing:
+		if clashing > 0 && refuted == clashing {
 			p.Status = Refuted
-		default:
-			b0, err := baseline()
-			if err != nil {
-				return nil, err
+			continue
+		}
+		if byLine == nil {
+			res, err := run(pool, tr, nil, opt)
+			if err != nil && !scheduleFault(err) {
+				return nil, fmt.Errorf("witness: baseline run: %w", err)
 			}
-			if a, b, ok := confirmsRecord(an, pc, b0); ok {
-				p.Status = Confirmed
-				p.Witness = &Directive{Line: pc.Line, A: a, B: b, Order: OrderDefault}
-				break
-			}
-			// Tier 3: directed replays, co-timing one member pair per
-			// attempt, both entry orders, within the global budget.
-		replay:
-			for _, pair := range pairs {
-				for _, ord := range []Order{OrderAFirst, OrderBFirst} {
-					if rep.Replays >= opt.MaxReplays {
-						break replay
-					}
-					d := Directive{Line: pc.Line, A: pair[0], B: pair[1], Order: ord}
-					rep.Replays++
-					p.Replays++
-					ok, _, err := replay(&pool, tr, an, pc, d, opt)
-					if err != nil {
-						return nil, fmt.Errorf("witness: replay %v: %w", d, err)
-					}
-					if ok {
-						p.Status = Confirmed
-						p.Witness = &d
-						break replay
-					}
+			byLine = map[core.Line][]core.Exception{}
+			if res != nil {
+				for _, ex := range res.Exceptions {
+					byLine[ex.Conflict.Line] = append(byLine[ex.Conflict.Line], ex)
 				}
 			}
 		}
+		if a, b, ok := confirmsRecord(an, pc, byLine[pc.Line]); ok {
+			p.Status = Confirmed
+			p.Witness = &Directive{Line: pc.Line, A: a, B: b, Order: OrderDefault}
+			continue
+		}
+		if len(pairs) > 0 {
+			targets = append(targets, target{rec: i, pc: pc, pairs: pairs})
+		}
+	}
+	ra := &runAhead{jobs: opt.Jobs, budget: opt.MaxReplays, targets: targets,
+		replay: func(t *target, d Directive) (bool, error) {
+			ok, _, err := replay(pool, tr, an, t.pc, d, opt)
+			return ok, err
+		}}
+	if err := ra.walk(rep); err != nil {
+		return nil, err
+	}
+	for _, p := range rep.Predictions {
 		switch p.Status {
 		case Confirmed:
 			rep.Confirmed++
@@ -334,7 +338,134 @@ func Examine(tr *trace.Trace, an *static.Analysis, opt Options) (*Report, error)
 		default:
 			rep.Unwitnessed++
 		}
-		rep.Predictions = append(rep.Predictions, p)
 	}
 	return rep, nil
+}
+
+// target is a record that tier 2 left open, with its index in the
+// report and the member pairs tier 3 co-times.
+type target struct {
+	rec   int
+	pc    static.PredictedConflict
+	pairs [][2]core.RegionID
+}
+
+// attempts is how many directed replays t can spend: each member pair
+// in both entry orders.
+func (t *target) attempts() int { return 2 * len(t.pairs) }
+
+// directive is t's j-th attempt: pair j/2, A first for even j.
+func (t *target) directive(j int) Directive {
+	d := Directive{Line: t.pc.Line, A: t.pairs[j/2][0], B: t.pairs[j/2][1], Order: OrderAFirst}
+	if j%2 == 1 {
+		d.Order = OrderBFirst
+	}
+	return d
+}
+
+// runAhead is tier 3: directed replays, co-timing one member pair per
+// attempt, both entry orders, within the global budget. Its walk visits
+// the targets in record order, and a target's attempts in order until
+// one confirms, charging each attempt it consumes to the budget: the
+// serial walk. With Jobs above 1 it also starts replays before the walk
+// needs them, on up to Jobs goroutines. A replay's verdict is a function
+// of its directive alone (the pool hands out pairs Reset to their built
+// state), so the order replays run in cannot change what the walk reads.
+// It guesses that every attempt confirms: beside the attempt the walk
+// takes, it starts only first attempts of later targets, and the walk
+// consumes each of those unless the budget runs out first. At most Jobs
+// attempts are started and not yet consumed at any time, so at most
+// Jobs-1 go to waste.
+type runAhead struct {
+	jobs    int // replays run at once; 0 or 1 runs them on the walk's goroutine
+	budget  int // Options.MaxReplays
+	targets []target
+	// replay runs one attempt of a target and reports whether it
+	// confirmed the target's record.
+	replay func(t *target, d Directive) (bool, error)
+
+	ahead []*attempt // first attempts started ahead of the walk, in target order
+	next  int        // the first target whose first attempt is not started
+	wg    sync.WaitGroup
+}
+
+// attempt is one directed replay. Its verdict is final once done is
+// closed; a nil done means it ran on the walk's goroutine.
+type attempt struct {
+	ti   int // its target
+	d    Directive
+	done chan struct{}
+	ok   bool
+	err  error
+}
+
+// walk spends the budget on rep's open records and returns once every
+// replay it started has finished. A replay's error surfaces only if the
+// walk reaches that replay.
+func (ra *runAhead) walk(rep *Report) error {
+	defer ra.wg.Wait()
+	for ti := range ra.targets {
+		t := &ra.targets[ti]
+		p := &rep.Predictions[t.rec]
+		for j := 0; j < t.attempts(); j++ {
+			if rep.Replays >= ra.budget {
+				return nil
+			}
+			a := ra.take(ti, j, rep.Replays)
+			rep.Replays++
+			p.Replays++
+			if a.done != nil {
+				<-a.done
+			}
+			if a.err != nil {
+				return fmt.Errorf("witness: replay %v: %w", a.d, a.err)
+			}
+			if a.ok {
+				p.Status = Confirmed
+				p.Witness = &a.d
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// take returns attempt j of target ti, which the walk consumes next with
+// spent replays already charged: the one started ahead, or a new one.
+// It then fills the slots the walk leaves free with first attempts of
+// later targets that the budget can still reach; the attempt taken
+// keeps its slot until the walk has read its verdict.
+func (ra *runAhead) take(ti, j, spent int) *attempt {
+	var a *attempt
+	if len(ra.ahead) > 0 && ra.ahead[0].ti == ti {
+		a, ra.ahead = ra.ahead[0], ra.ahead[1:]
+	} else {
+		a = ra.start(ti, j)
+	}
+	ra.next = max(ra.next, ti+1)
+	for 1+len(ra.ahead) < ra.jobs && ra.next < len(ra.targets) &&
+		spent+1+len(ra.ahead) < ra.budget {
+		ra.ahead = append(ra.ahead, ra.start(ra.next, 0))
+		ra.next++
+	}
+	return a
+}
+
+// start begins attempt j of target ti: on a new goroutine when more
+// than one replay may run at once, else on the caller's.
+func (ra *runAhead) start(ti, j int) *attempt {
+	t := &ra.targets[ti]
+	a := &attempt{ti: ti, d: t.directive(j)}
+	if ra.jobs <= 1 {
+		a.ok, a.err = ra.replay(t, a.d)
+		return a
+	}
+	a.done = make(chan struct{})
+	ra.wg.Add(1)
+	go func() {
+		defer ra.wg.Done()
+		a.ok, a.err = ra.replay(t, a.d)
+		close(a.done)
+	}()
+	return a
 }

@@ -4,8 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"arcsim/internal/conformance"
 	"arcsim/internal/core"
 	"arcsim/internal/machine"
 	"arcsim/internal/protocols"
@@ -194,11 +198,12 @@ func TestExamineRacyWorkloads(t *testing.T) {
 // TestExamineRacySharingPinned examines racy-sharing at the WIT
 // experiment's configuration (16 threads, seed 1, scale 0.25), where the
 // whole replay budget is spent and every replay confirms a prediction.
-// Examine runs the baseline and all 64 replays on one recycled machine;
-// the counts and the digest of every prediction's status and directive
-// were computed when each run built a fresh machine, so they pin the
-// recycling to change no verdict. Every directed witness also replays on
-// Replay's fresh build.
+// Examine runs the baseline and all 64 replays on recycled machines, at
+// 1, 2 and 4 jobs; the counts and the digest of every prediction's
+// status and directive were computed when each run built a fresh
+// machine and ran serially, so they pin the recycling and the run-ahead
+// to change no verdict. Every directed witness also replays on Replay's
+// fresh build.
 func TestExamineRacySharingPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 16-thread examination with 64 directed replays takes seconds")
@@ -208,39 +213,152 @@ func TestExamineRacySharingPinned(t *testing.T) {
 		t.Fatal("workload racy-sharing missing")
 	}
 	tr := spec.Build(workload.Params{Threads: 16, Seed: 1, Scale: 0.25})
-	an, rep := examine(t, tr, witness.Options{})
+	for _, jobs := range []int{1, 2, 4} {
+		an, rep := examine(t, tr, witness.Options{Jobs: jobs})
 
-	type counts struct{ predicted, confirmed, refuted, unwitnessed, replays int }
-	want := counts{4482, 4414, 0, 68, 64}
-	if got := (counts{rep.Predicted, rep.Confirmed, rep.Refuted, rep.Unwitnessed, rep.Replays}); got != want {
-		t.Fatalf("classification = %+v, want %+v", got, want)
-	}
-	h := sha256.New()
-	for _, p := range rep.Predictions {
-		fmt.Fprintf(h, "%s", p.Status)
-		if p.Witness != nil {
-			fmt.Fprintf(h, " %v", *p.Witness)
+		type counts struct{ predicted, confirmed, refuted, unwitnessed, replays int }
+		want := counts{4482, 4414, 0, 68, 64}
+		if got := (counts{rep.Predicted, rep.Confirmed, rep.Refuted, rep.Unwitnessed, rep.Replays}); got != want {
+			t.Fatalf("jobs %d: classification = %+v, want %+v", jobs, got, want)
 		}
-		h.Write([]byte{'\n'})
+		h := sha256.New()
+		for _, p := range rep.Predictions {
+			fmt.Fprintf(h, "%s", p.Status)
+			if p.Witness != nil {
+				fmt.Fprintf(h, " %v", *p.Witness)
+			}
+			h.Write([]byte{'\n'})
+		}
+		const wantDigest = "41794bbe304f318af7e6977c2e41e7735de6531623286dcfffeac0114596f2fc"
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+			t.Errorf("jobs %d: prediction digest = %s, want %s", jobs, got, wantDigest)
+		}
+		if jobs > 1 {
+			continue // the witnesses are the ones just replayed at 1 job
+		}
+		directed := 0
+		for _, p := range rep.Predictions {
+			if p.Status != witness.Confirmed || p.Witness.Order == witness.OrderDefault {
+				continue
+			}
+			directed++
+			ok, _, err := witness.Replay(tr, an, p.Conflict, *p.Witness, witness.Options{})
+			if err != nil || !ok {
+				t.Fatalf("directed witness %v did not replay on a fresh machine (ok=%v err=%v)", p.Witness, ok, err)
+			}
+		}
+		if directed != rep.Replays {
+			t.Errorf("%d directed witnesses, want one per replay (%d)", directed, rep.Replays)
+		}
 	}
-	const wantDigest = "41794bbe304f318af7e6977c2e41e7735de6531623286dcfffeac0114596f2fc"
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
-		t.Errorf("prediction digest = %s, want %s", got, wantDigest)
-	}
+}
 
-	directed := 0
-	for _, p := range rep.Predictions {
-		if p.Status != witness.Confirmed || p.Witness.Order == witness.OrderDefault {
-			continue
+// gated builds two threads that meet on n lines, each line under its own
+// pair of locks in the shape of TestDirectedReplayConfirmsLockGatedPair:
+// the default schedule serializes the two write regions, and only a
+// directed replay co-times them. Every third line swaps the threads'
+// roles; there the a-first attempt fails (the secondary waits at its
+// door holding the lock the primary needs to open its region), so that
+// record confirms on its second attempt. pad private writes per thread
+// follow, to give each replay some length.
+func gated(n, pad int) *trace.Trace {
+	var t0, t1 []trace.Event
+	for k := 0; k < n; k++ {
+		a, b := uint32(2*k+1), uint32(2*k+2)
+		line := base + core.Addr(k)*core.LineSize
+		first := []trace.Event{trace.Acquire(a), trace.Acquire(b), trace.Release(b), trace.Write(line, 8), trace.Release(a)}
+		second := []trace.Event{trace.Acquire(a), trace.Release(a), trace.Acquire(b), trace.Write(line, 8), trace.Release(b)}
+		if k%3 == 1 {
+			first, second = second, first
 		}
-		directed++
-		ok, _, err := witness.Replay(tr, an, p.Conflict, *p.Witness, witness.Options{})
-		if err != nil || !ok {
-			t.Fatalf("directed witness %v did not replay on a fresh machine (ok=%v err=%v)", p.Witness, ok, err)
+		t0 = append(t0, first...)
+		t1 = append(t1, second...)
+	}
+	for i := 0; i < pad; i++ {
+		off := core.Addr(i%512) * core.LineSize
+		t0 = append(t0, trace.Write(0x10_0000+off, 8))
+		t1 = append(t1, trace.Write(0x20_0000+off, 8))
+	}
+	return twoThreads(fmt.Sprintf("gated/%d", n), t0, t1)
+}
+
+// TestExamineSameAtEveryJobs: run-ahead replays cannot change a report.
+// Over WIT's four generated families (at WIT's seeds), a program whose
+// records need a second attempt, and that program with a budget that
+// runs out inside such a record, the reports at 2 and 4 jobs deep-equal
+// the serial one.
+func TestExamineSameAtEveryJobs(t *testing.T) {
+	type program struct {
+		name string
+		tr   *trace.Trace
+		max  int
+	}
+	var progs []program
+	fams := []conformance.Config{
+		{Racy: true},
+		{Plant: conformance.PlantOverlap},
+		{Plant: conformance.PlantSubword},
+		{Plant: conformance.PlantEvict},
+	}
+	for fi, cfg := range fams {
+		for i := range 2 {
+			seed := int64(1000 + 100*fi + i)
+			prog := conformance.Generate(cfg, seed)
+			progs = append(progs, program{fmt.Sprintf("%s/s%d", prog.Cfg.Kind(), seed), prog.Trace, 0})
 		}
 	}
-	if directed != rep.Replays {
-		t.Errorf("%d directed witnesses, want one per replay (%d)", directed, rep.Replays)
+	g := gated(6, 0)
+	progs = append(progs, program{"gated", g, 0}, program{"gated/budget-2", g, 2})
+
+	retried, cutInside := false, false
+	for _, p := range progs {
+		_, serial := examine(t, p.tr, witness.Options{MaxReplays: p.max, Jobs: 1})
+		for _, pr := range serial.Predictions {
+			retried = retried || pr.Replays >= 2
+			cutInside = cutInside || (pr.Replays > 0 && pr.Status == witness.Unwitnessed && serial.Replays == p.max)
+		}
+		for _, jobs := range []int{2, 4} {
+			_, rep := examine(t, p.tr, witness.Options{MaxReplays: p.max, Jobs: jobs})
+			if !reflect.DeepEqual(rep, serial) {
+				t.Errorf("%s: report at %d jobs differs from the serial one:\n%+v\nwant\n%+v", p.name, jobs, rep, serial)
+			}
+		}
+	}
+	if !retried {
+		t.Error("no record needed a second attempt; the retry path is untested")
+	}
+	if !cutInside {
+		t.Error("no budget ran out inside a record; the cut is untested")
+	}
+}
+
+// TestExamineWaitsForItsReplays: an examination whose budget runs out
+// with a replay started ahead (gated's third record, at 4 jobs and a
+// budget of 3) leaves no goroutine behind. That replay starts with the
+// first and usually ends long before the walk; TestRunAheadContract
+// holds such replays open to pin that the walk waits for them.
+func TestExamineWaitsForItsReplays(t *testing.T) {
+	tr := gated(6, 20000)
+	an, err := static.Analyze(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	rep, err := witness.Examine(tr, an, witness.Options{MaxReplays: 3, Jobs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine that has signalled the walk may take a moment to exit.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the examination, %d before", after, before)
+	}
+	if rep.Replays != 3 || rep.Predictions[2].Replays != 0 {
+		t.Errorf("budget 3 spent as %d replays, third record %d; the run-ahead was not cut short",
+			rep.Replays, rep.Predictions[2].Replays)
 	}
 }
 
