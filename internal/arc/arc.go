@@ -33,6 +33,8 @@
 package arc
 
 import (
+	"math/bits"
+
 	"arcsim/internal/cache"
 	"arcsim/internal/core"
 	"arcsim/internal/linetab"
@@ -80,86 +82,85 @@ const (
 // at a region boundary.
 const flashInvalidateCycles = 2
 
-// regView is a borrowed view of one registry record. The scalar fields
-// point into, and the per-core slices alias, the protocol's flat
-// backing arrays (slot s owns span [s*cores, (s+1)*cores)): taking a
+// record is one registry entry's per-line state. used, pend and
+// pendWrite hold one bit per core (machine.Config.Validate caps the core
+// count at 64), so a scan visits the registered cores alone.
+type record struct {
+	class uint8
+	// writerEver: some core has ever registered write bits; such a line
+	// can never (re)become read-only.
+	writerEver bool
+	// owner is the private owner (valid when class == classPrivate).
+	owner core.CoreID
+	// used marks cores with registered access bits (tagged by region
+	// sequence in the view's tags). pend marks cores whose registered
+	// bits may be incomplete (the rest is resident in their L1 and must
+	// be recalled before a check); pendWrite marks pends whose local
+	// bits include writes. pend ⊆ used.
+	used, pend, pendWrite uint64
+}
+
+// regView is a borrowed view of one registry record: the record itself
+// and its per-core bits and tags, which alias the protocol's flat
+// backing arrays (slot s owns span [s*cores, (s+1)*cores)). Taking a
 // view is free, but a view must not be used across a call that can
 // create a registry entry — creation may grow the arrays, leaving the
 // view pointing at the old backing storage.
 type regView struct {
-	class *uint8
-	// owner is the private owner (valid when class == classPrivate).
-	owner *core.CoreID
-	// writerEver: some core has ever registered write bits; such a line
-	// can never (re)become read-only.
-	writerEver *bool
-	// Registered access bits per core, tagged by region sequence. pend
-	// marks cores whose registered bits may be incomplete (the rest is
-	// resident in their L1 and must be recalled before a check);
-	// pendWrite marks pends whose local bits include writes.
-	bits      []core.AccessBits
-	tags      []uint64
-	used      []bool
-	pend      []bool
-	pendWrite []bool
+	r    *record
+	bits []core.AccessBits
+	tags []uint64
 }
 
 // register merges complete (eager) bits for core c's region seq.
 func (e regView) register(c core.CoreID, seq uint64, bits core.AccessBits) {
-	i := int(c)
-	if e.used[i] && e.tags[i] == seq {
-		e.bits[i].Merge(bits)
-	} else {
-		e.bits[i] = bits
-		e.tags[i] = seq
-		e.used[i] = true
-	}
-	e.pend[i] = false
-	e.pendWrite[i] = false
-	if !bits.WriteMask.Empty() {
-		*e.writerEver = true
-	}
+	e.spill(c, seq, bits)
+	e.r.pend &^= 1 << uint(c)
+	e.r.pendWrite &^= 1 << uint(c)
 }
 
 // spill merges bits for core c without clearing its pend status (the
 // core may keep accumulating bits locally after a refetch).
 func (e regView) spill(c core.CoreID, seq uint64, bits core.AccessBits) {
-	i := int(c)
-	if e.used[i] && e.tags[i] == seq {
+	i, b := int(c), uint64(1)<<uint(c)
+	if e.r.used&b != 0 && e.tags[i] == seq {
 		e.bits[i].Merge(bits)
 	} else {
 		e.bits[i] = bits
 		e.tags[i] = seq
-		e.used[i] = true
+		e.r.used |= b
 	}
 	if !bits.WriteMask.Empty() {
-		*e.writerEver = true
+		e.r.writerEver = true
 	}
 }
 
 // markPend records that core c's active region is touching the line with
 // its bits held locally; write notes whether those bits include writes.
 func (e regView) markPend(c core.CoreID, seq uint64, write bool) {
-	i := int(c)
-	if !(e.used[i] && e.tags[i] == seq) {
+	i, b := int(c), uint64(1)<<uint(c)
+	if e.r.used&b == 0 || e.tags[i] != seq {
 		e.bits[i] = core.AccessBits{}
 		e.tags[i] = seq
-		e.used[i] = true
+		e.r.used |= b
 	}
-	e.pend[i] = true
-	e.pendWrite[i] = e.pendWrite[i] || write
+	e.r.pend |= b
+	if write {
+		e.r.pendWrite |= b
+	}
 }
 
 // scrubStale drops core o's registration if its region ended; it reports
 // whether a live registration remains.
 func (e regView) scrubStale(o int, liveSeq uint64) bool {
-	if !e.used[o] {
+	b := uint64(1) << uint(o)
+	if e.r.used&b == 0 {
 		return false
 	}
 	if e.tags[o] != liveSeq {
-		e.used[o] = false
-		e.pend[o] = false
-		e.pendWrite[o] = false
+		e.r.used &^= b
+		e.r.pend &^= b
+		e.r.pendWrite &^= b
 		return false
 	}
 	return true
@@ -187,19 +188,23 @@ type Protocol struct {
 	opts Options
 
 	// The registry, flattened: tab maps a line to a slot in the arrays
-	// below. class/owner/writerEver are per-slot; the rest are per-slot
-	// per-core spans (see regView). Slots are bump-allocated; the
-	// registry never deletes entries, so there is no free list.
-	tab        linetab.Table
-	class      []uint8
-	owner      []core.CoreID
-	writerEver []bool
-	bits       []core.AccessBits
-	tags       []uint64
-	used       []bool
-	pend       []bool
-	pendWrite  []bool
-	next       int32
+	// below. records are per-slot; bits and tags are per-slot per-core
+	// spans (see regView). Slots are bump-allocated; the registry never
+	// deletes entries, so there is no free list.
+	tab     linetab.Table
+	records []record
+	bits    []core.AccessBits
+	tags    []uint64
+	next    int32
+
+	// sharedSets holds one bitmap of L1 sets per core (setWords words
+	// each): a set's bit is raised wherever a copy in it enters
+	// classShared or lineSharedEager, and Boundary walks only the marked
+	// sets. Every shared copy lies in a marked set of its core; that is
+	// all Boundary needs to drop the same lines in the same order as a
+	// walk of every resident line.
+	sharedSets []uint64
+	setWords   int
 }
 
 // New builds the ARC protocol over m with the full design.
@@ -207,7 +212,13 @@ func New(m *machine.Machine) *Protocol { return NewWithOptions(m, Options{}) }
 
 // NewWithOptions builds ARC with ablation options.
 func NewWithOptions(m *machine.Machine, opts Options) *Protocol {
-	return &Protocol{M: m, opts: opts}
+	words := (m.L1[0].Config().Sets() + 63) / 64
+	return &Protocol{
+		M:          m,
+		opts:       opts,
+		sharedSets: make([]uint64, m.Cfg.Cores*words),
+		setWords:   words,
+	}
 }
 
 // Reset returns the protocol to its freshly-built state, keeping the
@@ -216,6 +227,14 @@ func NewWithOptions(m *machine.Machine, opts Options) *Protocol {
 func (p *Protocol) Reset() {
 	p.tab.Reset()
 	p.next = 0
+	clear(p.sharedSets)
+}
+
+// markShared records that core c's L1 holds a shared copy of line, so
+// its next Boundary visits that line's set.
+func (p *Protocol) markShared(c int, line core.Line) {
+	set := p.M.L1[c].SetIndex(line)
+	p.sharedSets[c*p.setWords+set>>6] |= 1 << (set & 63)
 }
 
 // Name implements machine.Protocol; ablated variants are suffixed.
@@ -247,45 +266,29 @@ func (p *Protocol) view(s int32) regView {
 	cores := p.M.Cfg.Cores
 	lo := int(s) * cores
 	return regView{
-		class:      &p.class[s],
-		owner:      &p.owner[s],
-		writerEver: &p.writerEver[s],
-		bits:       p.bits[lo : lo+cores],
-		tags:       p.tags[lo : lo+cores],
-		used:       p.used[lo : lo+cores],
-		pend:       p.pend[lo : lo+cores],
-		pendWrite:  p.pendWrite[lo : lo+cores],
+		r:    &p.records[s],
+		bits: p.bits[lo : lo+cores],
+		tags: p.tags[lo : lo+cores],
 	}
 }
 
 // alloc claims the next slot, growing the backing arrays when the
-// high-water mark passes their length and clearing reused storage
-// (after a Reset the bump allocator walks over previous-run state).
-// bits/tags need no clearing: they are written before being read once
-// the cleared used flag is set.
+// high-water mark passes their length and clearing its record (after a
+// Reset the bump allocator walks over previous-run state). bits/tags
+// need no clearing: they are written before being read once the
+// cleared used bit is set.
 func (p *Protocol) alloc() int32 {
 	cores := p.M.Cfg.Cores
 	s := p.next
 	p.next++
-	if int(p.next) > len(p.class) {
-		p.class = append(p.class, 0)
-		p.owner = append(p.owner, 0)
-		p.writerEver = append(p.writerEver, false)
+	if int(p.next) > len(p.records) {
+		p.records = append(p.records, record{})
 	}
-	for len(p.used) < int(p.next)*cores {
+	for len(p.tags) < int(p.next)*cores {
 		p.bits = append(p.bits, core.AccessBits{})
 		p.tags = append(p.tags, 0)
-		p.used = append(p.used, false)
-		p.pend = append(p.pend, false)
-		p.pendWrite = append(p.pendWrite, false)
 	}
-	p.class[s] = 0
-	p.owner[s] = 0
-	p.writerEver[s] = false
-	lo := int(s) * cores
-	clear(p.used[lo : lo+cores])
-	clear(p.pend[lo : lo+cores])
-	clear(p.pendWrite[lo : lo+cores])
+	p.records[s] = record{}
 	return s
 }
 
@@ -337,6 +340,7 @@ func (p *Protocol) hit(now uint64, c core.CoreID, acc core.Access, line core.Lin
 			lat += p.broadcastCollect(now, c, line)
 			lat += p.registerFull(now+lat, c, acc.Kind, line, seq, mask, l1.Bits)
 			l1.State = lineSharedEager
+			p.markShared(int(c), line)
 		}
 		// Reads on read-only lines are unregistered and free.
 	case lineSharedEager:
@@ -407,50 +411,51 @@ func (p *Protocol) fetch(now uint64, c core.CoreID, acc core.Access, line core.L
 	e := p.entry(line)
 	var class uint8
 	switch {
-	case *e.class == 0:
+	case e.r.class == 0:
 		// Untouched: becomes private to the requester (or joins the
 		// shared protocol immediately under the DisablePrivate
 		// ablation).
 		if p.opts.DisablePrivate {
-			*e.class = classShared
+			e.r.class = classShared
 			var jl uint64
 			class, jl = p.joinShared(now+lat, c, acc.Kind, line, seq, mask, e)
 			lat += jl
 		} else {
-			*e.class = classPrivate
-			*e.owner = c
+			e.r.class = classPrivate
+			e.r.owner = c
 			class = classPrivate
 		}
-	case *e.class == classPrivate && *e.owner == c:
+	case e.r.class == classPrivate && e.r.owner == c:
 		class = classPrivate // refetch by the owner
-	case *e.class == classPrivate:
+	case e.r.class == classPrivate:
 		// Second toucher: recall the owner's bits, reclassify.
-		lat += p.recall(now+lat, *e.owner, line, e)
-		if *e.writerEver || acc.Kind == core.Write || p.opts.DisableReadOnly {
-			*e.class = classShared
+		lat += p.recall(now+lat, e.r.owner, line, e)
+		if e.r.writerEver || acc.Kind == core.Write || p.opts.DisableReadOnly {
+			e.r.class = classShared
 			// Concurrency has materialized: the requester joins eager
 			// (joinShared sees the owner's live bits if any).
 			var jl uint64
 			class, jl = p.joinShared(now+lat, c, acc.Kind, line, seq, mask, e)
 			lat += jl
 		} else {
-			*e.class = classReadOnly
+			e.r.class = classReadOnly
 			class = classReadOnly
 		}
 		// The former owner's copy (if resident) takes the new class;
 		// under contention it operates eagerly.
-		if ol := m.L1[int(*e.owner)].Peek(line); ol != nil {
-			ol.State = *e.class
-			if *e.class == classShared {
+		if ol := m.L1[int(e.r.owner)].Peek(line); ol != nil {
+			ol.State = e.r.class
+			if e.r.class == classShared {
 				ol.State = lineSharedEager
+				p.markShared(int(e.r.owner), line)
 			}
 		}
-	case *e.class == classReadOnly && acc.Kind == core.Write:
+	case e.r.class == classReadOnly && acc.Kind == core.Write:
 		lat += p.broadcastCollect(now+lat, c, line)
 		var jl uint64
 		class, jl = p.joinShared(now+lat, c, acc.Kind, line, seq, mask, e)
 		lat += jl
-	case *e.class == classReadOnly:
+	case e.r.class == classReadOnly:
 		class = classReadOnly // free: no bits tracked for readers
 	default: // shared
 		var jl uint64
@@ -467,6 +472,9 @@ func (p *Protocol) fetch(now uint64, c core.CoreID, acc core.Access, line core.L
 		p.evict(now+lat, c, victim)
 	}
 	slot.State = class
+	if class == classShared || class == lineSharedEager {
+		p.markShared(r, line)
+	}
 	slot.Dirty = acc.Kind == core.Write
 	slot.Aux = seq
 	slot.Bits = core.AccessBits{}
@@ -486,9 +494,9 @@ func (p *Protocol) joinShared(now uint64, c core.CoreID, kind core.AccessKind, l
 	m := p.M
 	var lat uint64
 	liveAny, liveWriter := false, false
-	for o := range e.used {
-		oc := core.CoreID(o)
-		if oc == c || !e.scrubStale(o, m.Seq(oc)) {
+	for set := e.r.used &^ (1 << uint(c)); set != 0; set &= set - 1 {
+		o := bits.TrailingZeros64(set)
+		if !e.scrubStale(o, m.Seq(core.CoreID(o))) {
 			continue
 		}
 		liveAny = true
@@ -496,7 +504,7 @@ func (p *Protocol) joinShared(now uint64, c core.CoreID, kind core.AccessKind, l
 		// write bits) or its *registered* bits contain writes — a core
 		// can re-pend after an eager phase (eviction + refetch) with
 		// its earlier write bits already in the registry.
-		if (e.pend[o] && e.pendWrite[o]) || !e.bits[o].WriteMask.Empty() {
+		if e.r.pend&e.r.pendWrite&(1<<uint(o)) != 0 || !e.bits[o].WriteMask.Empty() {
 			liveWriter = true
 		}
 	}
@@ -530,12 +538,11 @@ func (p *Protocol) pendUpgrade(now uint64, c core.CoreID, line core.Line, seq ui
 
 	e := p.entry(line)
 	liveAny := false
-	for o := range e.used {
-		oc := core.CoreID(o)
-		if oc == c || !e.scrubStale(o, m.Seq(oc)) {
-			continue
+	for set := e.r.used &^ (1 << uint(c)); set != 0; set &= set - 1 {
+		o := bits.TrailingZeros64(set)
+		if e.scrubStale(o, m.Seq(core.CoreID(o))) {
+			liveAny = true
 		}
-		liveAny = true
 	}
 	if !liveAny {
 		lat += m.MetaAccess(now+lat, line, true, true)
@@ -560,11 +567,9 @@ func (p *Protocol) recallPends(now uint64, c core.CoreID, line core.Line, e regV
 	m := p.M
 	home := m.HomeTile(line)
 	var worst uint64
-	for o := range e.pend {
+	for set := e.r.pend & e.r.used &^ (1 << uint(c)); set != 0; set &= set - 1 {
+		o := bits.TrailingZeros64(set)
 		oc := core.CoreID(o)
-		if oc == c || !e.pend[o] || !e.used[o] {
-			continue
-		}
 		if !e.scrubStale(o, m.Seq(oc)) {
 			continue
 		}
@@ -584,8 +589,8 @@ func (p *Protocol) recallPends(now uint64, c core.CoreID, line core.Line, e regV
 		}
 		// Any evicted portion of o's bits was spilled at eviction and
 		// is already merged; o's registration is complete now.
-		e.pend[o] = false
-		e.pendWrite[o] = false
+		e.r.pend &^= 1 << uint(o)
+		e.r.pendWrite &^= 1 << uint(o)
 	}
 	return worst
 }
@@ -617,7 +622,7 @@ func (p *Protocol) recall(now uint64, owner core.CoreID, line core.Line, e regVi
 		e.spill(owner, ol.Aux, ol.Bits)
 	}
 	if !ol.Bits.WriteMask.Empty() {
-		*e.writerEver = true
+		e.r.writerEver = true
 	}
 	// The owner's bits charge one table update.
 	m.MetaAccess(now+lat, line, true, true)
@@ -632,8 +637,8 @@ func (p *Protocol) broadcastCollect(now uint64, requester core.CoreID, line core
 	m := p.M
 	home := m.HomeTile(line)
 	e := p.entry(line)
-	*e.class = classShared
-	*e.writerEver = true
+	e.r.class = classShared
+	e.r.writerEver = true
 	m.IncID(ctrBroadcasts, 1)
 
 	var worst uint64
@@ -645,6 +650,7 @@ func (p *Protocol) broadcastCollect(now uint64, requester core.CoreID, line core
 		resp := machine.CtrlBytes
 		if ol := m.L1[o].Peek(line); ol != nil {
 			ol.State = lineSharedEager
+			p.markShared(o, line)
 			if !ol.Bits.Empty() && ol.Aux == m.Seq(core.CoreID(o)) {
 				e.spill(core.CoreID(o), ol.Aux, ol.Bits)
 				resp = machine.MetaBytes
@@ -663,9 +669,10 @@ func (p *Protocol) broadcastCollect(now uint64, requester core.CoreID, line core
 // Callers must have recalled pend bits first.
 func (p *Protocol) checkConflicts(now uint64, c core.CoreID, kind core.AccessKind, line core.Line, mask core.ByteMask, e regView) {
 	m := p.M
-	for o := range e.used {
+	for set := e.r.used &^ (1 << uint(c)); set != 0; set &= set - 1 {
+		o := bits.TrailingZeros64(set)
 		oc := core.CoreID(o)
-		if oc == c || !e.scrubStale(o, m.Seq(oc)) {
+		if !e.scrubStale(o, m.Seq(oc)) {
 			continue
 		}
 		clash, ok := e.bits[o].ConflictsWith(kind, mask)
@@ -733,13 +740,17 @@ func (p *Protocol) evict(now uint64, c core.CoreID, victim cache.Line) {
 // rest a quarter. Downgrading inside the invalidation walk relies on a
 // write-through touching only the NoC, the LLC and DRAM, never this L1,
 // so the walk's slot order and each send's start time do not depend on
-// what the walk has already dropped.
+// what the walk has already dropped. The walk visits only the sets
+// marked since the last boundary: every shared copy lies in one, so it
+// drops the same lines in the same ascending slot order as a walk of
+// every resident line, and afterwards no shared copy is left to mark.
 func (p *Protocol) Boundary(now uint64, c core.CoreID) uint64 {
 	m := p.M
 	r := int(c)
 	lat := uint64(flashInvalidateCycles)
 	first := true
-	n := m.L1[r].InvalidateIf(func(l *cache.Line) bool {
+	sets := p.sharedSets[r*p.setWords : (r+1)*p.setWords]
+	n := m.L1[r].InvalidateIf(sets, func(l *cache.Line) bool {
 		if l.State != classShared && l.State != lineSharedEager {
 			return false
 		}
@@ -762,6 +773,7 @@ func (p *Protocol) Boundary(now uint64, c core.CoreID) uint64 {
 		}
 		return true
 	})
+	clear(sets)
 	m.IncID(ctrSelfInvalidations, uint64(n))
 	return lat
 }

@@ -103,15 +103,14 @@ type Cache struct {
 	setMask uint64
 	lines   []Line // sets * ways, set-major
 	tick    uint64
-	// touched has one bit per set, raised by Insert — the only path
-	// that makes a line valid, and so the only way a set's lines can
-	// leave the all-zero state New creates. Reset clears just those
-	// sets.
+	// touched has one bit per slot, raised by Insert — the only path
+	// that makes a line valid, and so the only way a slot can leave the
+	// all-zero state New creates. Reset clears just those slots.
 	touched []uint64
 	// valid has one bit per slot, mirroring Line.Valid: Insert raises
 	// it, Invalidate, InvalidateIf and Reset lower it. ForEach,
 	// InvalidateIf and Occupancy walk it, so they cost the resident
-	// lines, not the capacity.
+	// lines, not the capacity. valid ⊆ touched.
 	valid []uint64
 
 	Stats Stats
@@ -130,7 +129,7 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		setMask: uint64(cfg.Sets() - 1),
 		lines:   make([]Line, cfg.Sets()*cfg.Ways),
-		touched: make([]uint64, (cfg.Sets()+63)/64),
+		touched: make([]uint64, (cfg.Sets()*cfg.Ways+63)/64),
 		valid:   make([]uint64, (cfg.Sets()*cfg.Ways+63)/64),
 	}
 }
@@ -140,29 +139,28 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Reset empties the cache and zeroes its statistics, returning it to
 // its freshly-built state (deep-equal to New(cfg)) without reallocating
-// the line array. Only the sets Insert touched since the last Reset are
-// cleared: every other line is still all-zero, so a run that touched a
-// few hundred sets of a megabyte LLC slice pays for those alone.
+// the line array. Only the slots Insert filled since the last Reset are
+// cleared: every other line is still all-zero, so a run that filled a
+// few hundred lines of a megabyte LLC slice pays for those alone.
 // Pooled machines use it between runs; it allocates nothing.
 func (c *Cache) Reset() {
-	ways := c.cfg.Ways
 	for w, mask := range c.touched {
-		for mask != 0 {
-			set := w*64 + bits.TrailingZeros64(mask)
-			clear(c.lines[set*ways : (set+1)*ways])
-			// Whole valid words may be cleared: their bits outside this
-			// set belong to other touched sets or are already zero.
-			clear(c.valid[set*ways>>6 : ((set+1)*ways-1)>>6+1])
-			mask &= mask - 1
+		if mask == 0 {
+			continue
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			c.lines[w*64+bits.TrailingZeros64(mask)] = Line{}
 		}
 		c.touched[w] = 0
+		c.valid[w] = 0 // valid ⊆ touched
 	}
 	c.tick = 0
 	c.Stats = Stats{}
 }
 
-// SetIndex returns the set a line maps to (diagnostics and tests).
-func (c *Cache) SetIndex(line core.Line) int { return c.cfg.SetOf(line) }
+// SetIndex returns the set a line maps to. ARC marks the L1 sets that
+// hold its shared lines with it (see InvalidateIf).
+func (c *Cache) SetIndex(line core.Line) int { return c.setIndex(line) }
 
 func (c *Cache) setIndex(line core.Line) int {
 	h := uint64(line)
@@ -212,9 +210,7 @@ func (c *Cache) Peek(line core.Line) *Line {
 // eviction occurred, a copy of the victim. Inserting a line that is
 // already resident is a programming error and panics.
 func (c *Cache) Insert(line core.Line) (slot *Line, victim Line, evicted bool) {
-	idx := c.setIndex(line)
-	c.touched[idx>>6] |= 1 << (idx & 63)
-	base := idx * c.cfg.Ways
+	base := c.setIndex(line) * c.cfg.Ways
 	set := c.lines[base : base+c.cfg.Ways]
 	free, lru := -1, -1
 	for i := range set {
@@ -242,6 +238,7 @@ func (c *Cache) Insert(line core.Line) (slot *Line, victim Line, evicted bool) {
 	}
 	c.tick++
 	i := base + way
+	c.touched[i>>6] |= 1 << (i & 63)
 	c.valid[i>>6] |= 1 << (i & 63)
 	slot = &c.lines[i]
 	*slot = Line{Tag: line, Valid: true, Owner: NoOwner, lru: c.tick}
@@ -268,19 +265,24 @@ func (c *Cache) Invalidate(line core.Line) (Line, bool) {
 	return Line{}, false
 }
 
-// InvalidateIf drops every valid line for which pred returns true, in
-// ascending slot order, and returns how many were dropped. ARC's flash
-// self-invalidation uses it. pred may mutate the line and act on other
-// caches, but must not change this one.
-func (c *Cache) InvalidateIf(pred func(*Line) bool) int {
+// InvalidateIf visits the valid lines of the sets whose bits are raised
+// in sets (one bit per set, set s at bit s%64 of word s/64), in
+// ascending slot order, drops every line for which pred returns true,
+// and returns how many were dropped. ARC's flash self-invalidation uses
+// it with the sets that can hold a shared line, so a boundary costs
+// those sets, not the resident lines. pred may mutate the line and act
+// on other caches, but must not change this one.
+func (c *Cache) InvalidateIf(sets []uint64, pred func(*Line) bool) int {
+	ways := c.cfg.Ways
 	n := 0
-	for w, mask := range c.valid {
-		for mask != 0 {
-			i := w*64 + bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if pred(&c.lines[i]) {
-				c.drop(i)
-				n++
+	for w, mask := range sets {
+		for ; mask != 0; mask &= mask - 1 {
+			set := w*64 + bits.TrailingZeros64(mask)
+			for i := set * ways; i < (set+1)*ways; i++ {
+				if c.valid[i>>6]&(1<<(i&63)) != 0 && pred(&c.lines[i]) {
+					c.drop(i)
+					n++
+				}
 			}
 		}
 	}

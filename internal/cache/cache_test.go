@@ -104,7 +104,7 @@ func TestInvalidateIf(t *testing.T) {
 		slot, _, _ := c.Insert(i)
 		slot.State = uint8(i % 2)
 	}
-	n := c.InvalidateIf(func(l *Line) bool { return l.State == 0 })
+	n := c.InvalidateIf(allSets(c), func(l *Line) bool { return l.State == 0 })
 	if n != 3 {
 		t.Errorf("invalidated %d, want 3", n)
 	}
@@ -113,6 +113,15 @@ func TestInvalidateIf(t *testing.T) {
 			t.Errorf("state-0 line %#x survived", uint64(l.Tag))
 		}
 	})
+}
+
+// allSets returns an InvalidateIf set mask naming every set of c.
+func allSets(c *Cache) []uint64 {
+	sets := make([]uint64, (c.cfg.Sets()+63)/64)
+	for s := 0; s < c.cfg.Sets(); s++ {
+		sets[s>>6] |= 1 << (s & 63)
+	}
+	return sets
 }
 
 func TestOccupancyAndForEach(t *testing.T) {
@@ -177,11 +186,11 @@ func TestSetIndexDistribution(t *testing.T) {
 
 // TestResetMatchesNew drives caches through a seeded mix of every
 // mutating operation and requires Reset to restore exactly what New
-// builds — line array, recency clock, statistics, and empty touched-set
-// and valid-slot bitmaps — even though it clears only the sets Insert
-// flagged. The geometries cover the hashed and unhashed index, a set
+// builds — line array, recency clock, statistics, and empty touched-slot
+// and valid-slot bitmaps — even though it clears only the slots Insert
+// flagged. The geometries cover the hashed and unhashed index, a slot
 // count spanning several bitmap words, and sets whose slots straddle a
-// valid-bitmap word.
+// bitmap word.
 func TestResetMatchesNew(t *testing.T) {
 	cfgs := []Config{
 		{Name: "plain", SizeBytes: 8 * 4 * core.LineSize, Ways: 4},
@@ -233,7 +242,7 @@ func TestResetMatchesNew(t *testing.T) {
 						c.Invalidate(line)
 					case op < 9:
 						state := uint8(rng.Intn(4))
-						c.InvalidateIf(func(l *Line) bool { return l.State == state && l.Tag&1 == 0 })
+						c.InvalidateIf(allSets(c), func(l *Line) bool { return l.State == state && l.Tag&1 == 0 })
 					default:
 						c.ForEach(func(l *Line) {
 							l.Aux++
@@ -256,9 +265,10 @@ func TestResetMatchesNew(t *testing.T) {
 // TestValidSlotWalks checks the valid-slot bitmap against a plain model
 // over a seeded mix of Insert, Lookup, Invalidate, InvalidateIf and
 // Reset: after every operation the bitmap agrees with Line.Valid on
-// every slot, ForEach and InvalidateIf visit exactly the valid lines in
-// ascending slot order (what a scan of the line array visits),
-// Occupancy matches, and the resident tags are the model's.
+// every slot, ForEach visits exactly the valid lines in ascending slot
+// order (what a scan of the line array visits), InvalidateIf under a
+// random set mask visits exactly the valid lines of the masked sets in
+// that order, Occupancy matches, and the resident tags are the model's.
 func TestValidSlotWalks(t *testing.T) {
 	cfgs := []Config{
 		{Name: "direct", SizeBytes: 128 * core.LineSize, Ways: 1},
@@ -271,12 +281,13 @@ func TestValidSlotWalks(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			c := New(cfg)
 			model := map[core.Line]bool{}
-			// scan lists the valid slots the way a walk of the whole line
-			// array finds them.
-			scan := func() []*Line {
+			// scan lists the valid slots of the sets in (every set when in
+			// is nil) the way a walk of the whole line array finds them.
+			scan := func(in []uint64) []*Line {
 				var out []*Line
 				for i := range c.lines {
-					if c.lines[i].Valid {
+					set := i / cfg.Ways
+					if c.lines[i].Valid && (in == nil || in[set>>6]&(1<<(set&63)) != 0) {
 						out = append(out, &c.lines[i])
 					}
 				}
@@ -289,7 +300,7 @@ func TestValidSlotWalks(t *testing.T) {
 						t.Fatalf("step %d (%s): slot %d valid bit %v, Line.Valid %v", step, op, i, bit, c.lines[i].Valid)
 					}
 				}
-				want := scan()
+				want := scan(nil)
 				var got []*Line
 				c.ForEach(func(l *Line) { got = append(got, l) })
 				if !reflect.DeepEqual(got, want) {
@@ -335,10 +346,26 @@ func TestValidSlotWalks(t *testing.T) {
 				case k < 19:
 					op = "invalidate-if"
 					state := uint8(rng.Intn(4))
-					want := scan()
+					// A random set mask: one set, about half the sets, or
+					// every set.
+					sets := make([]uint64, (cfg.Sets()+63)/64)
+					switch rng.Intn(3) {
+					case 0:
+						s := rng.Intn(cfg.Sets())
+						sets[s>>6] |= 1 << (s & 63)
+					case 1:
+						for s := 0; s < cfg.Sets(); s++ {
+							if rng.Intn(2) == 0 {
+								sets[s>>6] |= 1 << (s & 63)
+							}
+						}
+					default:
+						sets = allSets(c)
+					}
+					want := scan(sets)
 					var visited []*Line
 					dropped := 0
-					n := c.InvalidateIf(func(l *Line) bool {
+					n := c.InvalidateIf(sets, func(l *Line) bool {
 						visited = append(visited, l)
 						if l.State != state {
 							return false

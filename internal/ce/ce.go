@@ -25,6 +25,8 @@
 package ce
 
 import (
+	"math/bits"
+
 	"arcsim/internal/cache"
 	"arcsim/internal/coherence"
 	"arcsim/internal/core"
@@ -48,13 +50,14 @@ var (
 
 // metaView is a borrowed view of one metadata-table record: the spilled
 // access bits of each core for one line, tagged with the region they
-// belong to. The slices alias the protocol's flat backing arrays —
-// taking a view is free, but a view must not be used across a call that
-// can create a table entry (creation may grow the arrays).
+// belong to, and the mask of cores with a record (one bit per core).
+// The view aliases the protocol's flat backing arrays — taking a view
+// is free, but a view must not be used across a call that can create a
+// table entry (creation may grow the arrays).
 type metaView struct {
 	bits []core.AccessBits
 	tags []uint64
-	used []bool
+	used *uint64
 }
 
 // Protocol implements machine.Protocol for CE/CE+.
@@ -73,12 +76,12 @@ type Protocol struct {
 	mesi *coherence.Engine
 
 	// The in-memory metadata table, flattened: tab maps a line to a
-	// slot; slot s owns the span [s*cores, (s+1)*cores) of each backing
-	// array. Slots are bump-allocated and recycled through free.
+	// slot; slot s owns used[s] and the span [s*cores, (s+1)*cores) of
+	// bits and tags. Slots are bump-allocated and recycled through free.
 	tab  linetab.Table
 	bits []core.AccessBits
 	tags []uint64
-	used []bool
+	used []uint64
 	next int32
 	free []int32
 
@@ -123,7 +126,7 @@ func (p *Protocol) view(s int32) metaView {
 	return metaView{
 		bits: p.bits[lo : lo+cores],
 		tags: p.tags[lo : lo+cores],
-		used: p.used[lo : lo+cores],
+		used: &p.used[s],
 	}
 }
 
@@ -148,8 +151,8 @@ func (p *Protocol) entry(line core.Line) metaView {
 
 // alloc claims a slot: recycled from the free list, or bump-allocated
 // (growing the backing arrays when the high-water mark passes their
-// length). Only the used flags need clearing — bits/tags are written
-// before they are read once used is set.
+// length). Only the used mask needs clearing — bits/tags are written
+// before they are read once a used bit is set.
 func (p *Protocol) alloc() int32 {
 	cores := p.M.Cfg.Cores
 	var s int32
@@ -159,14 +162,15 @@ func (p *Protocol) alloc() int32 {
 	} else {
 		s = p.next
 		p.next++
-		for len(p.used) < int(p.next)*cores {
+		if int(p.next) > len(p.used) {
+			p.used = append(p.used, 0)
+		}
+		for len(p.tags) < int(p.next)*cores {
 			p.bits = append(p.bits, core.AccessBits{})
 			p.tags = append(p.tags, 0)
-			p.used = append(p.used, false)
 		}
 	}
-	lo := int(s) * cores
-	clear(p.used[lo : lo+cores])
+	p.used[s] = 0
 	return s
 }
 
@@ -261,12 +265,10 @@ func (p *Protocol) directoryCheck(now uint64, c core.CoreID, acc core.Access, tr
 		lat += m.MetaAccess(now, tr.Line, false, false)
 		m.IncID(ctrMetaReads, 1)
 		live := false
-		for o := 0; o < m.Cfg.Cores; o++ {
-			if !entry.used[o] {
-				continue
-			}
+		for set := *entry.used; set != 0; set &= set - 1 {
+			o := bits.TrailingZeros64(set)
 			if entry.tags[o] != m.Seq(core.CoreID(o)) {
-				entry.used[o] = false // scrub stale record
+				*entry.used &^= 1 << uint(o) // scrub stale record
 				continue
 			}
 			live = true
@@ -318,12 +320,10 @@ func (p *Protocol) hitCheck(now uint64, c core.CoreID, acc core.Access, line cor
 	m.IncID(ctrMetaReads, 1)
 	var fresh core.AccessBits
 	if ok {
-		for o := 0; o < m.Cfg.Cores; o++ {
-			if !entry.used[o] || core.CoreID(o) == c {
-				continue
-			}
+		for set := *entry.used &^ (1 << uint(c)); set != 0; set &= set - 1 {
+			o := bits.TrailingZeros64(set)
 			if entry.tags[o] != m.Seq(core.CoreID(o)) {
-				entry.used[o] = false
+				*entry.used &^= 1 << uint(o)
 				continue
 			}
 			fresh.Merge(entry.bits[o])
@@ -367,12 +367,12 @@ func (p *Protocol) spillVictim(now uint64, c core.CoreID, victim cache.Line) {
 	}
 	entry := p.entry(victim.Tag)
 	o := int(c)
-	if entry.used[o] && entry.tags[o] == victim.Aux {
+	if *entry.used&(1<<uint(o)) != 0 && entry.tags[o] == victim.Aux {
 		entry.bits[o].Merge(victim.Bits)
 	} else {
 		entry.bits[o] = victim.Bits
 		entry.tags[o] = victim.Aux
-		entry.used[o] = true
+		*entry.used |= 1 << uint(o)
 		// A fresh registration is created exactly once per (line,
 		// region) — nothing else scrubs or deletes a live registration
 		// mid-region — so this branch is the spilled-list dedup.
@@ -396,16 +396,9 @@ func (p *Protocol) Boundary(now uint64, c core.CoreID) uint64 {
 	first := true
 	for _, line := range p.spilled[c] {
 		entry, ok := p.lookup(line)
-		if ok && entry.used[c] && entry.tags[c] == seq {
-			entry.used[c] = false
-			empty := true
-			for o := range entry.used {
-				if entry.used[o] {
-					empty = false
-					break
-				}
-			}
-			if empty {
+		if ok && *entry.used&(1<<uint(c)) != 0 && entry.tags[c] == seq {
+			*entry.used &^= 1 << uint(c)
+			if *entry.used == 0 {
 				p.remove(line)
 			}
 		}

@@ -54,69 +54,137 @@ func (k ConflictKey) String() string {
 	return fmt.Sprintf("%#x:%s/%s", uint64(k.Line.Base()), k.A, k.B)
 }
 
-// ConflictSet accumulates conflicts with canonical deduplication. The zero
-// value is not ready to use; call NewConflictSet.
+// hash mixes every field of the key (multiply-xorshift, as in
+// linetab), so keys that share a line, a region or a core spread over
+// the index.
+func (k ConflictKey) hash() uint64 {
+	h := uint64(k.Line)*0x9E3779B97F4A7C15 ^
+		(k.A.Seq<<7^uint64(k.A.Core))*0xC2B2AE3D27D4EB4F ^
+		(k.B.Seq<<7^uint64(k.B.Core))*0x165667B19E3779F9
+	h ^= h >> 32
+	h *= 0xD6E8FEB86659FD93
+	return h ^ h>>29
+}
+
+// ConflictSet accumulates conflicts with canonical deduplication. It
+// keeps each distinct conflict once, in a list in insertion order, and
+// finds it through an open-addressed index of list positions that is
+// kept at most half full. The zero value is an empty set.
 type ConflictSet struct {
-	byKey map[ConflictKey]Conflict
-	order []ConflictKey
+	list []Conflict
+	// index holds list position + 1 per slot, 0 for an empty slot;
+	// its length is zero or a power of two.
+	index []int32
 }
 
 // NewConflictSet returns an empty set.
-func NewConflictSet() *ConflictSet {
-	return &ConflictSet{byKey: make(map[ConflictKey]Conflict)}
-}
+func NewConflictSet() *ConflictSet { return &ConflictSet{} }
 
 // Reset empties the set, keeping its allocated capacity (machine
-// pooling).
+// pooling). It costs what the set holds, not the index's size: a pooled
+// machine's index keeps the size of the most conflicted run it served.
 func (s *ConflictSet) Reset() {
-	clear(s.byKey)
-	s.order = s.order[:0]
+	if 8*len(s.list) >= len(s.index) {
+		clear(s.index)
+	} else {
+		for p := range s.list {
+			s.index[s.probe(s.list[p].Key(), int32(p+1))] = 0
+		}
+	}
+	s.list = s.list[:0]
+}
+
+// probe returns the first index slot, from k's home slot on, that
+// holds v.
+func (s *ConflictSet) probe(k ConflictKey, v int32) uint64 {
+	mask := uint64(len(s.index) - 1)
+	i := k.hash() & mask
+	for s.index[i] != v {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns the index slot holding k, or the empty slot where k
+// would go.
+func (s *ConflictSet) find(k ConflictKey) (slot uint64, found bool) {
+	mask := uint64(len(s.index) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		p := s.index[i]
+		if p == 0 {
+			return i, false
+		}
+		if s.list[p-1].Key() == k {
+			return i, true
+		}
+	}
+}
+
+// grow doubles the index (16 slots at first) and re-inserts every
+// recorded conflict.
+func (s *ConflictSet) grow() {
+	n := 2 * len(s.index)
+	if n == 0 {
+		n = 16
+	}
+	s.index = make([]int32, n)
+	for p := range s.list {
+		s.index[s.probe(s.list[p].Key(), 0)] = int32(p + 1)
+	}
 }
 
 // Add records c unless a conflict with the same canonical key was already
 // recorded; it reports whether c was new.
 func (s *ConflictSet) Add(c Conflict) bool {
-	k := c.Key()
-	if _, ok := s.byKey[k]; ok {
+	if 2*(len(s.list)+1) > len(s.index) {
+		s.grow()
+	}
+	i, found := s.find(c.Key())
+	if found {
 		return false
 	}
-	s.byKey[k] = c
-	s.order = append(s.order, k)
+	s.list = append(s.list, c)
+	s.index[i] = int32(len(s.list))
 	return true
 }
 
 // Len returns the number of distinct conflicts.
-func (s *ConflictSet) Len() int { return len(s.byKey) }
+func (s *ConflictSet) Len() int { return len(s.list) }
 
 // Has reports whether a conflict with k's canonical key is present.
 func (s *ConflictSet) Has(k ConflictKey) bool {
-	_, ok := s.byKey[k]
-	return ok
+	if len(s.list) == 0 {
+		return false
+	}
+	_, found := s.find(k)
+	return found
+}
+
+// keyLess orders canonical keys by line, then A, then B.
+func keyLess(a, b ConflictKey) bool {
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	if a.A != b.A {
+		return a.A.Less(b.A)
+	}
+	return a.B.Less(b.B)
 }
 
 // Keys returns the canonical keys in a deterministic (sorted) order.
 func (s *ConflictSet) Keys() []ConflictKey {
-	keys := make([]ConflictKey, len(s.order))
-	copy(keys, s.order)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Line != keys[j].Line {
-			return keys[i].Line < keys[j].Line
-		}
-		if keys[i].A != keys[j].A {
-			return keys[i].A.Less(keys[j].A)
-		}
-		return keys[i].B.Less(keys[j].B)
-	})
+	keys := make([]ConflictKey, len(s.list))
+	for i := range s.list {
+		keys[i] = s.list[i].Key()
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	return keys
 }
 
 // Conflicts returns the recorded conflicts ordered by canonical key.
 func (s *ConflictSet) Conflicts() []Conflict {
-	keys := s.Keys()
-	out := make([]Conflict, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.byKey[k])
-	}
+	out := append([]Conflict(nil), s.list...)
+	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key(), out[j].Key()) })
 	return out
 }
 
@@ -124,13 +192,13 @@ func (s *ConflictSet) Conflicts() []Conflict {
 // and if not, describes the difference (for test failure messages).
 func (s *ConflictSet) Equal(o *ConflictSet) (bool, string) {
 	var missing, extra []string
-	for k := range s.byKey {
-		if !o.Has(k) {
+	for _, c := range s.list {
+		if k := c.Key(); !o.Has(k) {
 			extra = append(extra, k.String())
 		}
 	}
-	for k := range o.byKey {
-		if !s.Has(k) {
+	for _, c := range o.list {
+		if k := c.Key(); !s.Has(k) {
 			missing = append(missing, k.String())
 		}
 	}

@@ -1,10 +1,13 @@
 package protocols
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"arcsim/internal/machine"
+	"arcsim/internal/sim"
+	"arcsim/internal/workload"
 )
 
 // allDesigns is every design Build knows.
@@ -153,6 +156,51 @@ func BenchmarkBuild(b *testing.B) {
 					buildSink = m
 				}
 			})
+		}
+	}
+}
+
+var runSink *sim.Result
+
+// BenchmarkRun times each design's protocol layer as the arcbench
+// sim-core workload does: a Reset of a pooled pair plus one
+// sim.RunContext, at sim-core's scale 0.25. canneal ends a region
+// every few events over many resident private lines (ARC's boundary
+// walk); racy-sharing logs tens of thousands of conflicts (the
+// conflict set, and ARC's and CE's registry scans).
+func BenchmarkRun(b *testing.B) {
+	for _, design := range Names() {
+		for _, wl := range []string{"canneal", "racy-sharing"} {
+			for _, cores := range []int{16, 64} {
+				b.Run(fmt.Sprintf("%s/%s/%d", design, wl, cores), func(b *testing.B) {
+					spec, ok := workload.ByName(wl)
+					if !ok {
+						b.Fatalf("no workload %s", wl)
+					}
+					tr := spec.Build(workload.Params{Threads: cores, Seed: 1, Scale: 0.25})
+					var pool Pool
+					m, p, err := pool.Get(design, machine.Default(cores))
+					if err != nil {
+						b.Fatal(err)
+					}
+					run := func() {
+						m.Reset()
+						p.Reset()
+						res, err := sim.RunContext(context.Background(), m, p, tr, sim.Options{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						runSink = res
+					}
+					run() // warm the pair, as sim-core does
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						run()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*runSink.Events), "ns/event")
+				})
+			}
 		}
 	}
 }

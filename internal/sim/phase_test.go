@@ -152,8 +152,14 @@ func TestRunPhasedByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := int(builds.Load()), min(procs, plan.Phases()); got != want {
-					t.Errorf("GOMAXPROCS %d: %d machines built, want one per worker (%d)", procs, got, want)
+				// Workers build lazily, so one that finds the queue
+				// drained builds nothing: with several workers the count
+				// lies between 1 and one per worker. One worker must
+				// build exactly once, so every later phase runs on a
+				// Reset machine.
+				got, most := int(builds.Load()), min(procs, plan.Phases())
+				if procs == 1 && got != 1 || got < 1 || got > most {
+					t.Errorf("GOMAXPROCS %d: %d machines built, want 1 with one worker, at most one per worker (%d) otherwise", procs, got, most)
 				}
 				pj, err := json.Marshal(phased)
 				if err != nil {
